@@ -4,123 +4,182 @@
 //! without a full figure sweep.
 //!
 //! ```text
-//! cellstats PR 4 14 [seq|par:N] [selective|reference|dense] \
-//!     [--bins N] [--block-records N] [--queue calendar|heap] \
-//!     [--batching on|off] [--iters] [--metrics-json <path>] \
-//!     [--fault-seed N]
+//! cellstats [ALGO [MACHINES [SCALE [selective|reference|dense]]]] \
+//!     [--bins N] [--block-records N] [--iters] [--metrics-json <path>] \
+//!     [--fault-seed N] [--scrub]
 //! ```
 //!
 //! `--bins N` overrides the clustered-layout bin count (1 = unclustered
 //! arrival-order layout). `--block-records N` overrides the sub-chunk
-//! block-index granularity (0 = chunk-granularity serves). `--queue` and
-//! `--batching` probe the event-loop core (host-side only — the simulated
-//! columns never move). `--iters` adds a per-iteration table:
-//! active-vertex fraction, chunks/records and blocks/records skipped
-//! (split into empty-frontier and mid-wavefront skips), and
-//! tombstone/compaction counts — the shape of a frontier collapsing or a
-//! Borůvka contraction eating the edge set. `--metrics-json <path>` dumps
-//! the run's report plus per-iteration selectivity as stable JSON.
-//! `--fault-seed N` turns on checkpointing and injects the seed-`N`
-//! generated fault plan (crashes + torn writes + device + fabric +
-//! corruption windows); the fault account and integrity lines show what
-//! the recovery protocol absorbed. `--scrub` enables the between-
-//! iteration integrity scrub pass. The `states digest` line is a
-//! layout-, backend- and fault-invariant fingerprint of the final vertex
-//! states — `scripts/bench_smoke.sh` compares it between corruption-
-//! seeded and fault-free runs.
+//! block-index granularity (0 = chunk-granularity serves). `--iters` adds
+//! a per-iteration table: active-vertex fraction, chunks/records and
+//! blocks/records skipped (split into empty-frontier and mid-wavefront
+//! skips), and tombstone/compaction counts — the shape of a frontier
+//! collapsing or a Borůvka contraction eating the edge set.
+//! `--metrics-json <path>` dumps the run's report plus per-iteration
+//! selectivity as stable JSON. `--fault-seed N` turns on checkpointing
+//! and injects the seed-`N` generated fault plan (crashes + torn writes +
+//! device + fabric + corruption windows); the fault account and integrity
+//! lines show what the recovery protocol absorbed. `--scrub` enables the
+//! between-iteration integrity scrub pass. The `states digest` line is a
+//! layout- and fault-invariant fingerprint of the final vertex states —
+//! `scripts/bench_smoke.sh` compares it between corruption-seeded and
+//! fault-free runs.
+//!
+//! Bad arguments print the usage to stderr and exit with status 2;
+//! `--help` prints it to stdout.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams};
-use chaos_core::{run_chaos, Backend, ChaosConfig, FaultPlan, FaultPlanConfig, QueueKind, Streaming};
+use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
+use chaos_core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
 use chaos_graph::RmatConfig;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let per_iter = args.iter().any(|a| a == "--iters");
-    args.retain(|a| a != "--iters");
-    let mut bins: Option<u32> = None;
-    if let Some(i) = args.iter().position(|a| a == "--bins") {
-        bins = match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(b) if b > 0 => Some(b),
-            _ => panic!("--bins needs a positive integer (1 = unclustered)"),
-        };
-        args.drain(i..=i + 1);
-    }
-    let mut block_records: Option<u32> = None;
-    if let Some(i) = args.iter().position(|a| a == "--block-records") {
-        block_records = Some(
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--block-records needs a record count (0 = chunk-granularity)"),
-        );
-        args.drain(i..=i + 1);
-    }
-    let mut metrics_json: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--metrics-json") {
-        metrics_json = Some(
-            args.get(i + 1)
-                .cloned()
-                .expect("--metrics-json needs an output path"),
-        );
-        args.drain(i..=i + 1);
-    }
-    let mut queue = QueueKind::default();
-    if let Some(i) = args.iter().position(|a| a == "--queue") {
-        queue = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--queue needs calendar or heap");
-        args.drain(i..=i + 1);
-    }
-    let scrub = args.iter().any(|a| a == "--scrub");
-    args.retain(|a| a != "--scrub");
-    let mut fault_seed: Option<u64> = None;
-    if let Some(i) = args.iter().position(|a| a == "--fault-seed") {
-        fault_seed = Some(
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--fault-seed needs an integer seed"),
-        );
-        args.drain(i..=i + 1);
-    }
-    let mut batching = true;
-    if let Some(i) = args.iter().position(|a| a == "--batching") {
-        batching = match args.get(i + 1).map(String::as_str) {
-            Some("on" | "true") => true,
-            Some("off" | "false") => false,
-            _ => panic!("--batching needs on or off"),
-        };
-        args.drain(i..=i + 1);
-    }
-    let algo = args.first().map(|s| s.as_str()).unwrap_or("PR").to_string();
-    let machines: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let scale: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(14);
-    let backend: Backend = args
-        .get(3)
-        .map(|s| s.parse().expect("bad backend"))
-        .unwrap_or(Backend::Sequential);
-    let streaming: Streaming = args
-        .get(4)
-        .map(|s| s.parse().expect("bad streaming mode"))
-        .unwrap_or(Streaming::Selective);
+const USAGE: &str = "usage: cellstats [ALGO [MACHINES [SCALE [selective|reference|dense]]]]
+                 [--bins N] [--block-records N] [--iters] [--metrics-json PATH]
+                 [--fault-seed N] [--scrub]
+defaults: PR 4 14 selective; ALGO is a Table 1 short name (PR, BFS, WCC, ...)";
 
-    let cfg_rmat = if needs_weights(&algo) {
-        RmatConfig::paper_weighted(scale)
-    } else {
-        RmatConfig::paper(scale)
+/// The parsed command line.
+struct Args {
+    algo: String,
+    machines: usize,
+    scale: u32,
+    streaming: Streaming,
+    bins: Option<u32>,
+    block_records: Option<u32>,
+    per_iter: bool,
+    metrics_json: Option<String>,
+    fault_seed: Option<u64>,
+    scrub: bool,
+}
+
+/// Removes `flag` and its value from `args`, parsing the value with
+/// `parse`; `what` describes the expected value for the error message.
+fn take_value<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
     };
-    let mut g = cfg_rmat.generate();
-    if needs_undirected(&algo) {
-        g = g.to_undirected();
+    let value = args
+        .get(i + 1)
+        .and_then(|s| parse(s))
+        .ok_or_else(|| format!("{flag} needs {what}"))?;
+    args.drain(i..=i + 1);
+    Ok(Some(value))
+}
+
+/// Removes a boolean `flag` from `args`, returning whether it was there.
+fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let present = args.iter().any(|a| a == flag);
+    args.retain(|a| a != flag);
+    present
+}
+
+/// Parses a positional argument, falling back to `default` when absent.
+fn positional<T: std::str::FromStr>(
+    args: &[String],
+    i: usize,
+    what: &str,
+    default: T,
+) -> Result<T, String> {
+    match args.get(i) {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| format!("bad {what} {s:?}")),
     }
+}
+
+fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
+    let per_iter = take_switch(&mut args, "--iters");
+    let scrub = take_switch(&mut args, "--scrub");
+    let bins = take_value(
+        &mut args,
+        "--bins",
+        "a positive integer (1 = unclustered)",
+        |s| s.parse().ok().filter(|&b: &u32| b > 0),
+    )?;
+    let block_records = take_value(
+        &mut args,
+        "--block-records",
+        "a record count (0 = chunk-granularity)",
+        |s| s.parse().ok(),
+    )?;
+    let metrics_json = take_value(&mut args, "--metrics-json", "an output path", |s| {
+        Some(s.to_string())
+    })?;
+    let fault_seed = take_value(&mut args, "--fault-seed", "an integer seed", |s| {
+        s.parse().ok()
+    })?;
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown option {flag}"));
+    }
+    if args.len() > 4 {
+        return Err(format!("unexpected argument {:?}", args[4]));
+    }
+    let algo = args.first().cloned().unwrap_or_else(|| "PR".to_string());
+    if !ALGO_NAMES.contains(&algo.as_str()) {
+        return Err(format!(
+            "unknown algorithm {algo:?}; expected one of {}",
+            ALGO_NAMES.join(", ")
+        ));
+    }
+    let machines = positional(&args, 1, "machine count", 4)?;
+    if machines == 0 {
+        return Err("need at least one machine".into());
+    }
+    let scale = positional(&args, 2, "RMAT scale", 14)?;
+    let streaming = match args.get(3) {
+        None => Streaming::Selective,
+        Some(s) => s.parse()?,
+    };
+    Ok(Args {
+        algo,
+        machines,
+        scale,
+        streaming,
+        bins,
+        block_records,
+        per_iter,
+        metrics_json,
+        fault_seed,
+        scrub,
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Args {
+        algo,
+        machines,
+        scale,
+        streaming,
+        bins,
+        block_records,
+        per_iter,
+        metrics_json,
+        fault_seed,
+        scrub,
+    } = match parse_args(args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+
     let mut cfg = ChaosConfig::new(machines);
     cfg.chunk_bytes = 32 * 1024;
     cfg.mem_budget = 256 * 1024;
-    cfg.backend = backend;
     cfg.streaming = streaming;
-    cfg.queue = queue;
-    cfg.batching = batching;
     if let Some(b) = bins {
         cfg.cluster_bins = b;
     }
@@ -132,6 +191,19 @@ fn main() {
         cfg.faults = FaultPlan::generate(seed, &FaultPlanConfig::soak(machines));
     }
     cfg.scrub = scrub;
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    let cfg_rmat = if needs_weights(&algo) {
+        RmatConfig::paper_weighted(scale)
+    } else {
+        RmatConfig::paper(scale)
+    };
+    let mut g = cfg_rmat.generate();
+    if needs_undirected(&algo) {
+        g = g.to_undirected();
+    }
     let t0 = Instant::now();
     let params = AlgoParams::default();
     let (rep, digest) = with_algo!(algo.as_str(), &params, |p| {
@@ -142,9 +214,8 @@ fn main() {
     // `cluster_bins` is the run's *effective* layout — dense-activity
     // programs keep the single-bin arrival order whatever was requested.
     println!(
-        "{algo} m={machines} scale={scale} backend={} streaming={streaming} bins={}: \
+        "{algo} m={machines} scale={scale} streaming={streaming} bins={}: \
          wall {:.3}s, events {}, records {}, iters {}, {:.0} events/s, {:.0} records/s",
-        rep.backend,
         rep.cluster_bins,
         wall,
         rep.events,
@@ -154,13 +225,8 @@ fn main() {
         rep.records_streamed as f64 / wall,
     );
     println!(
-        "dispatch: queue={queue} batching={} — {} events in {} envelopes \
-         ({:.3} msgs/envelope), {} queue ops",
-        if batching { "on" } else { "off" },
-        rep.events,
-        rep.envelopes,
-        rep.batching_ratio(),
-        rep.queue_ops,
+        "dispatch: {} events, {} queue ops",
+        rep.events, rep.queue_ops,
     );
     let fa = &rep.faults;
     println!(
@@ -261,7 +327,11 @@ fn main() {
     if let Some(path) = metrics_json {
         let label = format!("{algo}/m{machines}");
         let dump = chaos_bench::metrics_json(&[(label, rep)]);
-        std::fs::write(&path, dump).expect("write metrics json");
+        if let Err(e) = std::fs::write(&path, dump) {
+            eprintln!("error: cannot write metrics to {path}: {e}");
+            return ExitCode::FAILURE;
+        }
         eprintln!("[metrics-json] wrote 1 run to {path}");
     }
+    ExitCode::SUCCESS
 }

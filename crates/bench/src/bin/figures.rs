@@ -3,15 +3,9 @@
 //! ```text
 //! figures list                      # show experiment ids
 //! figures fig7                      # one experiment at the quick scale
-//! figures fig7 --backend par:4      # same rows, parallel event loop
 //! figures all                       # everything, quick scale
 //! figures all --full                # everything, larger scale
 //! ```
-//!
-//! `--backend {seq|par|par:N}` selects the execution backend for every
-//! run. Figure output is bit-identical across backends — the simulation
-//! is backend-invariant — so the flag only changes host wall-clock
-//! behavior (see `scripts/bench_smoke.sh`, which relies on the identity).
 //!
 //! `--streaming {selective|reference|dense}` selects the scatter
 //! streaming mode. `selective` (default) and `reference` also produce
@@ -24,11 +18,8 @@
 //! legitimately differ across layouts; the figures' "states digest"
 //! lines do not, and `bench_smoke.sh` compares them.
 //!
-//! `--queue {calendar|heap}` selects the event-queue store and
-//! `--batching {on|off}` toggles same-machine envelope batching. Both are
-//! host-side-only like the backend: stdout is bit-identical across every
-//! combination (`bench_smoke.sh` byte-compares the cross), and the
-//! dispatch accounting that *does* differ goes to stderr.
+//! Host-side accounting (event and queue-operation counts, the fault and
+//! integrity totals) goes to stderr, so stdout holds only figure output.
 //!
 //! `--block-records N` overrides the sub-chunk block-index granularity
 //! (0 = chunk-granularity serves, the pre-block behavior). Like the bin
@@ -47,16 +38,14 @@
 use std::process::ExitCode;
 
 use chaos_bench::{run_experiment, Harness, Scale, EXPERIMENTS};
-use chaos_core::{Backend, QueueKind, Streaming};
+use chaos_core::Streaming;
 
-/// Prints the host-side dispatch account to stderr (stdout must stay
-/// byte-identical across queue/batching configurations).
+/// Prints the dispatch, fault and integrity accounts to stderr (stdout
+/// holds only figure output).
 fn dispatch_stats(h: &Harness) {
     eprintln!(
-        "dispatch stats: events={} envelopes={} ratio={:.3} queue-ops={}",
+        "dispatch stats: events={} queue-ops={}",
         h.events_dispatched(),
-        h.envelopes_sent(),
-        h.batching_ratio(),
         h.queue_ops(),
     );
     let fa = h.fault_account();
@@ -82,24 +71,9 @@ fn dispatch_stats(h: &Harness) {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut backend = Backend::Sequential;
     let mut streaming = Streaming::Selective;
     // Loop so a repeated flag is fully consumed (last one wins) instead of
     // its value leaking through as an experiment id.
-    while let Some(i) = args.iter().position(|a| a == "--backend") {
-        let Some(spec) = args.get(i + 1) else {
-            eprintln!("--backend needs a value: seq, par or par:N");
-            return ExitCode::FAILURE;
-        };
-        backend = match spec.parse() {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        args.drain(i..=i + 1);
-    }
     let mut cluster_bins: Option<u32> = None;
     while let Some(i) = args.iter().position(|a| a == "--cluster-bins") {
         let Some(spec) = args.get(i + 1) else {
@@ -162,33 +136,6 @@ fn main() -> ExitCode {
         };
         args.drain(i..=i + 1);
     }
-    let mut queue = QueueKind::default();
-    while let Some(i) = args.iter().position(|a| a == "--queue") {
-        let Some(spec) = args.get(i + 1) else {
-            eprintln!("--queue needs a value: calendar or heap");
-            return ExitCode::FAILURE;
-        };
-        queue = match spec.parse() {
-            Ok(q) => q,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        args.drain(i..=i + 1);
-    }
-    let mut batching = true;
-    while let Some(i) = args.iter().position(|a| a == "--batching") {
-        batching = match args.get(i + 1).map(String::as_str) {
-            Some("on" | "true") => true,
-            Some("off" | "false") => false,
-            _ => {
-                eprintln!("--batching needs a value: on or off");
-                return ExitCode::FAILURE;
-            }
-        };
-        args.drain(i..=i + 1);
-    }
     let no_cache = args.iter().any(|a| a == "--no-cache");
     let full = args.iter().any(|a| a == "--full");
     let ids: Vec<&str> = args
@@ -197,12 +144,9 @@ fn main() -> ExitCode {
         .map(String::as_str)
         .collect();
     let scale = if full { Scale::full() } else { Scale::quick() }
-        .with_backend(backend)
         .with_streaming(streaming)
         .with_cluster_bins(cluster_bins)
         .with_block_records(block_records)
-        .with_queue(queue)
-        .with_batching(batching)
         .with_disk_cache(!no_cache);
 
     match ids.first().copied() {

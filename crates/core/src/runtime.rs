@@ -21,13 +21,8 @@ pub type Ctx<P> = chaos_runtime::Ctx<Addr, Msg<P>>;
 /// A buffered outgoing Chaos message.
 pub type Send<P> = chaos_runtime::Send<Addr, Msg<P>>;
 
-/// The sequential executor driving a Chaos cluster (the only backend of
-/// earlier revisions; kept as a convenience alias).
-pub type ClusterScheduler<P> = chaos_runtime::SequentialExecutor<ClusterTopology, Msg<P>>;
-
-/// The configuration-selected execution backend driving a Chaos cluster
-/// (see [`crate::config::Backend`]).
-pub type ClusterExecutor<P> = chaos_runtime::BackendExecutor<ClusterTopology, Msg<P>>;
+/// The executor driving a Chaos cluster.
+pub type ClusterExecutor<P> = chaos_runtime::SequentialExecutor<ClusterTopology, Msg<P>>;
 
 /// Address of an actor in the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +74,6 @@ impl Topology for ClusterTopology {
 
     fn machine(&self, addr: Addr) -> usize {
         addr.machine()
-    }
-
-    fn machines(&self) -> usize {
-        self.machines
-    }
-
-    fn machine_of_slot(&self, slot: usize) -> usize {
-        self.addr_of(slot).machine()
     }
 }
 
@@ -252,9 +239,7 @@ mod tests {
         ] {
             assert_eq!(topo.addr_of(topo.slot(a)), a);
             assert!(topo.slot(a) < topo.slots());
-            // The lane-partitioning contract of the parallel backend.
-            assert_eq!(topo.machine_of_slot(topo.slot(a)), topo.machine(a));
-            assert!(topo.machine(a) < topo.machines());
+            assert!(topo.machine(a) < topo.machines);
         }
     }
 

@@ -97,8 +97,9 @@ pub trait GasProgram: Clone + Send + 'static {
     /// Update payload carried from scatter to gather.
     type Update: Record;
     /// In-memory accumulator; `Default` must be the gather identity.
-    /// `Sync` because accumulator arrays are shared (`Arc`) across engine
-    /// actors, which the parallel backend dispatches on worker threads.
+    /// `Send + Sync` because accumulator arrays are shared (`Arc`) across
+    /// engine actors, and a simulated cluster may move between threads
+    /// (see [`Record`]).
     type Accum: Clone + Default + Send + Sync + 'static;
 
     /// Short human-readable name ("BFS", "PR", ...).

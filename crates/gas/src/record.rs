@@ -10,9 +10,10 @@ use chaos_graph::VertexId;
 /// A fixed-size serializable record.
 ///
 /// Implementations must write exactly [`Record::ENCODED_BYTES`] bytes and
-/// round-trip: `decode(encode(x)) == x`. Records are `Send + Sync` because
-/// chunk payloads are shared (`Arc`) across engine actors, which the
-/// parallel execution backend dispatches on worker threads.
+/// round-trip: `decode(encode(x)) == x`. Records are `Send + Sync` so
+/// that chunk payloads, which engine actors share through `Arc`, may
+/// cross threads: a whole simulated cluster can be built on one thread
+/// and run on another, or several independent runs can proceed at once.
 pub trait Record: Clone + Send + Sync + 'static {
     /// Exact encoded width in bytes.
     const ENCODED_BYTES: usize;

@@ -61,23 +61,12 @@ impl FabricConfig {
     pub fn rtt(&self) -> Time {
         2 * self.propagation
     }
-
-    /// Minimum end-to-end latency of any cross-machine message: the switch
-    /// propagation delay (serialization only adds to it). This is the safe
-    /// lookahead bound for conservatively-synchronized parallel execution —
-    /// no message sent at `t` to another machine can arrive before
-    /// `t + min_latency()`.
-    pub fn min_latency(&self) -> Time {
-        self.propagation
-    }
 }
 
 /// One fabric degradation window: remote messages touching `machine` —
 /// as sender or receiver — pay `extra` additional delivery latency while
 /// `from <= now < until`, modelling a slow-NIC straggler. The penalty is
-/// purely *additive*, so the conservative [`FabricConfig::min_latency`]
-/// lookahead bound the parallel executor synchronizes on stays valid and
-/// degraded runs remain bit-identical across backends.
+/// purely *additive*: it never lets a message undercut the wire delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradedWindow {
     /// The straggler machine.
@@ -161,13 +150,6 @@ impl Fabric {
         self.stats
     }
 
-    /// Minimum end-to-end latency of any cross-machine message (see
-    /// [`FabricConfig::min_latency`]); the safe lookahead bound the
-    /// parallel executor synchronizes on.
-    pub fn min_end_to_end_latency(&self) -> Time {
-        self.cfg.min_latency()
-    }
-
     /// Computes the delivery time of a `bytes`-sized message sent at `now`
     /// from machine `from` to machine `to`, updating NIC queues.
     ///
@@ -228,40 +210,10 @@ impl Fabric {
 }
 
 /// The fabric is the actor runtime's network model: the executor asks it
-/// for arrival times when absorbing `Send::Net` messages, and the parallel
-/// backend sizes its synchronization windows from the latency bounds.
+/// for arrival times when absorbing `Send::Net` messages.
 impl chaos_runtime::Network for Fabric {
     fn send(&mut self, now: Time, from: usize, to: usize, bytes: u64) -> Time {
         Fabric::send(self, now, from, to, bytes)
-    }
-
-    fn min_latency(&self) -> Time {
-        self.min_end_to_end_latency()
-    }
-
-    fn local_latency(&self, _machine: usize) -> Time {
-        // Same-machine deliveries bypass the NICs and pay a constant
-        // in-process hop, independent of size and fabric state — exactly
-        // the contract `Network::local_latency` requires.
-        self.cfg.local_delivery
-    }
-
-    fn send_local_batch(&mut self, now: Time, machine: usize, total_bytes: u64, count: u64) -> Time {
-        // One accounting update for a whole coalesced envelope: byte and
-        // message totals land exactly where `count` individual local sends
-        // would have put them, and the arrival is the same constant hop.
-        assert!(machine < self.cfg.machines);
-        debug_assert!(count >= 1);
-        self.stats.local_messages += count;
-        self.stats.local_bytes += total_bytes;
-        now + self.cfg.local_delivery
-    }
-
-    fn time_quantum(&self) -> Time {
-        // Most deliveries sit a small multiple of one of these two
-        // constants past the clock; the smaller one is the natural
-        // calendar bucket width.
-        self.cfg.local_delivery.min(self.cfg.propagation).max(1)
     }
 }
 
@@ -354,45 +306,24 @@ mod tests {
         assert_eq!(f.send(1500, 1, 1, 64), healthy.send(1500, 1, 1, 64));
         assert_eq!(f.stats().degraded_messages, 2);
         assert_eq!(f.stats().degraded_time, 154);
-        // The penalty is additive: the lookahead bound still holds.
-        assert!(f.send(1999, 0, 1, 1) >= 1999 + f.min_end_to_end_latency());
+        // The penalty is additive: the wire delay is still paid.
+        assert!(f.send(1999, 0, 1, 1) >= 1999 + f.config().propagation);
     }
 
     #[test]
-    fn min_latency_bounds_every_cross_machine_send() {
-        use chaos_runtime::Network as _;
+    fn cross_machine_sends_pay_at_least_propagation() {
         let mut f = fabric(4);
-        let lookahead = f.min_end_to_end_latency();
-        assert!(lookahead > 0);
-        assert_eq!(lookahead, f.config().min_latency());
-        // Stress the NIC queues; arrivals must never undercut the bound.
+        let propagation = f.config().propagation;
+        // Stress the NIC queues; arrivals never undercut the wire delay.
         for i in 0..50u64 {
             let now = i * 3;
             let t = f.send(now, (i % 4) as usize, ((i + 1) % 4) as usize, 1 + i * MIB / 8);
-            assert!(t >= now + lookahead, "arrival {t} < {now} + {lookahead}");
+            assert!(t >= now + propagation, "arrival {t} < {now} + {propagation}");
         }
-        // Local deliveries are the constant the parallel backend predicts.
+        // Local deliveries are a constant hop, independent of size.
         for m in 0..4 {
-            assert_eq!(f.send(1000, m, m, 123), 1000 + f.local_latency(m));
+            assert_eq!(f.send(1000, m, m, 123), 1000 + f.config().local_delivery);
         }
-    }
-
-    #[test]
-    fn local_batch_accounts_like_individual_sends() {
-        use chaos_runtime::Network as _;
-        let mut a = fabric(2);
-        let mut b = fabric(2);
-        let t1 = a.send(50, 1, 1, 300);
-        let t2 = a.send(50, 1, 1, 700);
-        let t3 = a.send(50, 1, 1, 0);
-        let tb = b.send_local_batch(50, 1, 1000, 3);
-        // Same arrival (local delivery is state- and size-independent)
-        // and identical fabric statistics.
-        assert_eq!(tb, t3);
-        assert_eq!(t1, t2);
-        assert_eq!(a.stats(), b.stats());
-        // The calendar-queue hint is the smaller latency constant.
-        assert_eq!(a.time_quantum(), MICROS);
     }
 
     #[test]

@@ -16,13 +16,11 @@
 //!   to the embedding crate (`chaos-core`), which keeps this kernel free of
 //!   trait objects and generic actor plumbing.
 
-pub mod calendar;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{shift_for_quantum, CalendarQueue, QueueKind};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::Rng;
 pub use stats::{OnlineStats, RateMeter};

@@ -3,7 +3,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::{CalendarQueue, QueueKind};
 use crate::time::Time;
 
 /// An event scheduled for delivery: destination actor plus payload.
@@ -43,21 +42,10 @@ impl<M> Ord for HeapEntry<M> {
     }
 }
 
-/// The pending-event store behind [`EventQueue`]: the default calendar
-/// queue or the original binary heap (selectable as a bit-identical
-/// oracle). Both pop in strict `(time, insertion order)`.
-enum Store<M> {
-    Heap(BinaryHeap<HeapEntry<M>>),
-    Calendar(CalendarQueue<(usize, M)>),
-}
-
 /// A deterministic event queue keyed on `(time, insertion order)`.
 ///
 /// Ties at equal timestamps are delivered in insertion order, which makes the
-/// whole simulation a pure function of its inputs. The backing store is a
-/// calendar queue by default ([`QueueKind::Calendar`]; see
-/// [`crate::calendar`]) with the original binary heap selectable via
-/// [`EventQueue::with_kind`] — pop order is identical either way.
+/// whole simulation a pure function of its inputs.
 ///
 /// # Examples
 ///
@@ -71,7 +59,7 @@ enum Store<M> {
 /// assert_eq!((first.time, first.msg), (5, "sooner"));
 /// ```
 pub struct EventQueue<M> {
-    store: Store<M>,
+    heap: BinaryHeap<HeapEntry<M>>,
     seq: u64,
     now: Time,
     delivered: u64,
@@ -84,56 +72,13 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    /// Creates an empty queue with the clock at zero, backed by the
-    /// default store ([`QueueKind::Calendar`]).
+    /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// Creates an empty queue backed by the given store.
-    pub fn with_kind(kind: QueueKind) -> Self {
         Self {
-            store: match kind {
-                QueueKind::Heap => Store::Heap(BinaryHeap::new()),
-                QueueKind::Calendar => Store::Calendar(CalendarQueue::new()),
-            },
+            heap: BinaryHeap::new(),
             seq: 0,
             now: 0,
             delivered: 0,
-        }
-    }
-
-    /// Which store backs this queue.
-    pub fn kind(&self) -> QueueKind {
-        match &self.store {
-            Store::Heap(_) => QueueKind::Heap,
-            Store::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// Replaces the backing store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are pending (switching mid-run is not supported).
-    pub fn set_kind(&mut self, kind: QueueKind) {
-        assert!(self.is_empty(), "cannot switch queue kind with events pending");
-        if kind != self.kind() {
-            self.store = match kind {
-                QueueKind::Heap => Store::Heap(BinaryHeap::new()),
-                QueueKind::Calendar => Store::Calendar(CalendarQueue::new()),
-            };
-        }
-    }
-
-    /// Tunes the calendar bucket width to the network's latency quantum
-    /// (the floor-log2 of `quantum`, clamped to sane bounds); pending
-    /// events are restaged. A no-op for the heap store or `quantum == 0`.
-    pub fn tune(&mut self, quantum: Time) {
-        if let (Store::Calendar(cal), Some(shift)) =
-            (&mut self.store, crate::calendar::shift_for_quantum(quantum))
-        {
-            cal.set_shift(shift);
         }
     }
 
@@ -154,10 +99,7 @@ impl<M> EventQueue<M> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Heap(h) => h.len(),
-            Store::Calendar(c) => c.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -173,41 +115,23 @@ impl<M> EventQueue<M> {
     pub fn push(&mut self, time: Time, dst: usize, msg: M) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let time = time.max(self.now);
-        match &mut self.store {
-            Store::Heap(h) => h.push(HeapEntry {
-                time,
-                seq: self.seq,
-                dst,
-                msg,
-            }),
-            Store::Calendar(c) => c.push(time, self.seq, (dst, msg)),
-        }
+        self.heap.push(HeapEntry {
+            time,
+            seq: self.seq,
+            dst,
+            msg,
+        });
         self.seq += 1;
     }
 
     /// Timestamp of the next event without popping it, if any.
-    ///
-    /// Takes `&mut self` because the calendar store may restage its
-    /// earliest bucket; the clock and pending set are untouched.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match &mut self.store {
-            Store::Heap(h) => h.peek().map(|e| e.time),
-            Store::Calendar(c) => c.peek_key().map(|(t, _)| t),
-        }
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Pops the next event, advancing the virtual clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<M>> {
-        let (time, dst, msg) = match &mut self.store {
-            Store::Heap(h) => {
-                let e = h.pop()?;
-                (e.time, e.dst, e.msg)
-            }
-            Store::Calendar(c) => {
-                let (time, _, (dst, msg)) = c.pop()?;
-                (time, dst, msg)
-            }
-        };
+        let HeapEntry { time, dst, msg, .. } = self.heap.pop()?;
         self.now = time;
         self.delivered += 1;
         Some(Scheduled { time, dst, msg })
@@ -218,92 +142,55 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
-    fn both_kinds() -> [EventQueue<&'static str>; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
-    }
-
     #[test]
     fn orders_by_time_then_insertion() {
-        for mut q in both_kinds() {
-            q.push(5, 0, "a");
-            q.push(3, 1, "b");
-            q.push(5, 2, "c");
-            q.push(4, 3, "d");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.msg)).collect();
-            assert_eq!(order, vec!["b", "d", "a", "c"], "kind {:?}", q.kind());
-        }
+        let mut q = EventQueue::new();
+        q.push(5, 0, "a");
+        q.push(3, 1, "b");
+        q.push(5, 2, "c");
+        q.push(4, 3, "d");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.msg)).collect();
+        assert_eq!(order, vec!["b", "d", "a", "c"]);
     }
 
     #[test]
     fn peek_does_not_advance_the_clock() {
-        for mut q in both_kinds() {
-            assert_eq!(q.peek_time(), None);
-            q.push(9, 0, "x");
-            q.push(4, 0, "y");
-            assert_eq!(q.peek_time(), Some(4));
-            assert_eq!(q.now(), 0);
-            q.pop();
-            assert_eq!(q.peek_time(), Some(9));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(9, 0, "x");
+        q.push(4, 0, "y");
+        assert_eq!(q.peek_time(), Some(4));
+        assert_eq!(q.now(), 0);
+        q.pop();
+        assert_eq!(q.peek_time(), Some(9));
     }
 
     #[test]
     fn clock_advances_monotonically() {
-        for kind in [QueueKind::Calendar, QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(7, 0, ());
-            q.push(2, 0, ());
-            assert_eq!(q.now(), 0);
-            q.pop();
-            assert_eq!(q.now(), 2);
-            q.pop();
-            assert_eq!(q.now(), 7);
-            assert_eq!(q.delivered(), 2);
-            assert_eq!(q.pushed(), 2);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(7, 0, ());
+        q.push(2, 0, ());
+        assert_eq!(q.now(), 0);
+        q.pop();
+        assert_eq!(q.now(), 2);
+        q.pop();
+        assert_eq!(q.now(), 7);
+        assert_eq!(q.delivered(), 2);
+        assert_eq!(q.pushed(), 2);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn past_events_clamp_to_now() {
-        for mut q in both_kinds() {
-            q.push(10, 0, "x");
-            q.pop();
-            // Deliberately schedule "in the past" in release mode semantics.
-            if cfg!(debug_assertions) {
-                // Covered by the debug_assert; skip.
-                return;
-            }
-            q.push(5, 0, "y");
-            assert_eq!(q.pop().unwrap().time, 10);
+        // Scheduling "in the past" trips the debug assertion; release
+        // builds clamp to the clock instead.
+        if cfg!(debug_assertions) {
+            return;
         }
-    }
-
-    #[test]
-    fn kind_switch_requires_empty_queue() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.kind(), QueueKind::Calendar);
-        q.set_kind(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
-        q.push(1, 0, ());
-        let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.set_kind(QueueKind::Calendar)
-        }));
-        assert!(trip.is_err(), "switching with events pending must panic");
-    }
-
-    #[test]
-    fn tune_keeps_order_with_pending_events() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for i in 0..50 {
-            q.push(i * 777, 0, i);
-        }
-        q.tune(1 << 14);
-        for i in 0..50 {
-            assert_eq!(q.pop().map(|e| e.msg), Some(i));
-        }
+        let mut q = EventQueue::new();
+        q.push(10, 0, "x");
+        q.pop();
+        q.push(5, 0, "y");
+        assert_eq!(q.pop().unwrap().time, 10);
     }
 }

@@ -18,8 +18,7 @@
 //!   checksum overhead per framed device transfer, and frame-check
 //!   *failures* are decided by the deterministic corruption oracle on
 //!   [`crate::Device`], so faulted runs stay a pure function of
-//!   `(seed, machine, simulated time, offset)` and bit-identical across
-//!   executor backends.
+//!   `(seed, machine, simulated time, offset)`.
 
 /// On-device size of one chunk frame: 4-byte magic, 8-byte payload length,
 /// 4-byte CRC-32. Charged per framed transfer so checksum overhead is

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use chaos::algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
-use chaos::core::{run_chaos, Backend, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
+use chaos::core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
 use chaos::graph::{io as graph_io, InputGraph, RmatConfig, WebGraphConfig};
 
 struct Args(Vec<String>);
@@ -67,8 +67,6 @@ CLUSTER OPTIONS:
   --one-gige          1 GigE fabric instead of 40 GigE
   --checkpoint        checkpoint vertex values at gather barriers
   --alpha <A>         work-stealing bias (default 1.0; 0 disables, inf always)
-  --backend <B>       event-loop backend: seq (default), par, or par:N
-                      (results are bit-identical; only wall clock differs)
   --streaming <S>     scatter streaming: selective (default), reference
                       (dense oracle, bit-identical report), or dense
   --cluster-bins <N>  source-clustered layout bins per partition
@@ -149,7 +147,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     cfg.mem_budget = args.parsed("--mem-kb", 1024u64)? * 1024;
     cfg.steal_alpha = args.parsed("--alpha", 1.0f64)?;
     cfg.checkpoint = args.flag("--checkpoint");
-    cfg.backend = args.parsed("--backend", Backend::Sequential)?;
     cfg.streaming = args.parsed("--streaming", Streaming::Selective)?;
     cfg.cluster_bins = args.parsed("--cluster-bins", cfg.cluster_bins)?;
     cfg.seed = args.parsed("--seed", cfg.seed)?;
@@ -171,12 +168,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     params.bp_iterations = params.pr_iterations;
 
     println!(
-        "running {algo} on {} vertices / {} edges over {machines} machines ({}, {}, backend {})...",
+        "running {algo} on {} vertices / {} edges over {machines} machines ({}, {})...",
         g.num_vertices,
         g.num_edges(),
         cfg.device.name,
         if args.flag("--one-gige") { "1GigE" } else { "40GigE" },
-        cfg.backend,
     );
     let report = with_algo!(algo, &params, |p| run_chaos(cfg, p, &g).0);
     println!("simulated runtime   {:>10.3} s (preprocess {:.3} s)",

@@ -5,8 +5,8 @@
 //! write), device-fault windows, fabric stragglers and silent-corruption
 //! windows, and the run must end with final vertex states
 //! **bit-identical** to the fault-free run of the same
-//! `(config, program, graph)` — on the sequential and parallel backends,
-//! in selective and reference streaming modes, for an
+//! `(config, program, graph)` — in selective and reference streaming
+//! modes, for an
 //! aggregate-converging, a frontier and a stateful multi-phase algorithm.
 //!
 //! On top of each generated schedule the soak scripts one wide, early
@@ -47,56 +47,53 @@ where
 {
     let machines = 4;
     let shape = FaultPlanConfig::soak(machines);
-    for backend in [Backend::Sequential, Backend::Parallel { threads: 4 }] {
-        for streaming in [Streaming::Selective, Streaming::Reference] {
-            let mut base = test_config(machines);
-            base.backend = backend;
-            base.streaming = streaming;
-            base.checkpoint = true;
-            let (clean, clean_states) = run_chaos(base.clone(), program.clone(), graph);
-            assert_eq!(clean.faults.aborts, 0);
-            for seed in 0..soak_seeds() {
-                let plan = FaultPlan::generate(seed, &shape).with_corruption_fault(
-                    CorruptionFault {
-                        machine: 0,
-                        from: 0,
-                        until: chaos::sim::SECS,
-                        salt: seed ^ 0x5C0B_B1E5,
-                        one_in: 2,
-                    },
-                );
-                let crashes = plan.crashes.len();
-                let mut cfg = base.clone();
-                cfg.faults = plan;
-                let (rep, states) = run_chaos(cfg, program.clone(), graph);
-                let tag = format!("{label} seed {seed} {backend:?} {streaming:?}");
-                assert_eq!(clean_states, states, "{tag}: states must be bit-identical");
-                assert_eq!(
-                    clean.iteration_aggs, rep.iteration_aggs,
-                    "{tag}: per-iteration aggregates must match"
-                );
+    for streaming in [Streaming::Selective, Streaming::Reference] {
+        let mut base = test_config(machines);
+        base.streaming = streaming;
+        base.checkpoint = true;
+        let (clean, clean_states) = run_chaos(base.clone(), program.clone(), graph);
+        assert_eq!(clean.faults.aborts, 0);
+        for seed in 0..soak_seeds() {
+            let plan = FaultPlan::generate(seed, &shape).with_corruption_fault(
+                CorruptionFault {
+                    machine: 0,
+                    from: 0,
+                    until: chaos::sim::SECS,
+                    salt: seed ^ 0x5C0B_B1E5,
+                    one_in: 2,
+                },
+            );
+            let crashes = plan.crashes.len();
+            let mut cfg = base.clone();
+            cfg.faults = plan;
+            let (rep, states) = run_chaos(cfg, program.clone(), graph);
+            let tag = format!("{label} seed {seed} {streaming:?}");
+            assert_eq!(clean_states, states, "{tag}: states must be bit-identical");
+            assert_eq!(
+                clean.iteration_aggs, rep.iteration_aggs,
+                "{tag}: per-iteration aggregates must match"
+            );
+            assert!(
+                rep.faults.corruption_detected >= 1,
+                "{tag}: the scripted window must be exercised"
+            );
+            assert!(
+                rep.faults.corruption_repaired >= 1,
+                "{tag}: every detected corruption must be repaired"
+            );
+            if crashes > 0 {
+                assert!(rep.faults.aborts >= 1, "{tag}: crash schedule, no abort");
                 assert!(
-                    rep.faults.corruption_detected >= 1,
-                    "{tag}: the scripted window must be exercised"
+                    rep.faults.iterations_redone >= 1,
+                    "{tag}: crash schedule, nothing redone"
                 );
+            }
+            assert_eq!(rep.faults.aborts as usize, rep.faults.abort_log.len());
+            for pair in rep.faults.abort_log.windows(2) {
                 assert!(
-                    rep.faults.corruption_repaired >= 1,
-                    "{tag}: every detected corruption must be repaired"
+                    pair[1].gen > pair[0].gen && pair[1].time >= pair[0].time,
+                    "{tag}: abort generations must strictly increase"
                 );
-                if crashes > 0 {
-                    assert!(rep.faults.aborts >= 1, "{tag}: crash schedule, no abort");
-                    assert!(
-                        rep.faults.iterations_redone >= 1,
-                        "{tag}: crash schedule, nothing redone"
-                    );
-                }
-                assert_eq!(rep.faults.aborts as usize, rep.faults.abort_log.len());
-                for pair in rep.faults.abort_log.windows(2) {
-                    assert!(
-                        pair[1].gen > pair[0].gen && pair[1].time >= pair[0].time,
-                        "{tag}: abort generations must strictly increase"
-                    );
-                }
             }
         }
     }
@@ -117,13 +114,11 @@ fn mcst_soaks_clean() {
     soak(Mcst::new(), &weighted_graph(220, 260, 7), "mcst");
 }
 
-/// Host-side and layout axes under a faulted schedule: the heap event
-/// queue (vs the calendar default) must not perturb the simulation at
-/// all — identical report — and chunk-granularity serving
-/// (`block_records = 0`) must still converge to identical states with
-/// identical fault accounting under the same seeded schedule.
+/// The layout axis under a faulted schedule: chunk-granularity serving
+/// (`block_records = 0`) must converge to identical states with identical
+/// abort accounting under the same seeded schedule.
 #[test]
-fn seeded_schedules_survive_queue_and_block_index_axes() {
+fn seeded_schedules_survive_the_block_index_axis() {
     let machines = 4;
     let g = directed_graph(8);
     let seed = 3;
@@ -137,26 +132,17 @@ fn seeded_schedules_survive_queue_and_block_index_axes() {
             salt: seed ^ 0x5C0B_B1E5,
             one_in: 2,
         });
-    let (calendar, calendar_states) = run_chaos(base.clone(), Pagerank::new(4), &g);
-    assert!(calendar.faults.corruption_detected >= 1);
+    let (blocked, blocked_states) = run_chaos(base.clone(), Pagerank::new(4), &g);
+    assert!(blocked.faults.corruption_detected >= 1);
 
-    let mut heap = base.clone();
-    heap.queue = QueueKind::Heap;
-    let (heap_rep, heap_states) = run_chaos(heap, Pagerank::new(4), &g);
-    assert_eq!(calendar_states, heap_states, "queue kind is host-side only");
-    assert_eq!(calendar.runtime, heap_rep.runtime);
-    assert_eq!(calendar.faults.corruption_detected, heap_rep.faults.corruption_detected);
-    assert_eq!(calendar.faults.checksum_bytes, heap_rep.faults.checksum_bytes);
-    assert_eq!(calendar.faults.aborts, heap_rep.faults.aborts);
-
-    let mut coarse = base.clone();
+    let mut coarse = base;
     coarse.block_records = 0;
     let (coarse_rep, coarse_states) = run_chaos(coarse, Pagerank::new(4), &g);
     assert_eq!(
-        calendar_states, coarse_states,
+        blocked_states, coarse_states,
         "chunk-granularity serving changes layout, never results"
     );
-    assert_eq!(calendar.faults.aborts, coarse_rep.faults.aborts);
+    assert_eq!(blocked.faults.aborts, coarse_rep.faults.aborts);
     assert!(coarse_rep.faults.corruption_detected >= 1);
     assert_eq!(coarse_rep.blocks_skipped(), 0, "no block indexes to skip with");
 }
