@@ -142,7 +142,7 @@ fn all_ten_programs_are_pinned() {
 }
 
 #[test]
-fn stealing_cells_are_pinned() {
+fn local_placement_stealing_is_pinned() {
     // Locality-seeking placement plus always-steal: every chunk request is
     // served by the local storage engine, so same-machine sends dominate.
     let g = weighted_graph(600, 900, 42);
@@ -156,6 +156,10 @@ fn stealing_cells_are_pinned() {
         &g,
         pin(0xe83389ff66595001, 6_339_957, 3333, 30923),
     );
+}
+
+#[test]
+fn stealing_cells_are_pinned() {
     // Several partitions per machine and always-steal: masters of sparse
     // partitions steal from the busy ones, exercising the master/stealer
     // accumulator exchange.
@@ -223,6 +227,30 @@ fn crash_recovery_is_pinned() {
         Wcc::new(),
         &g,
         pin(0x3adb6f86e5c2b42b, 1_005_311_720, 1820, 44797),
+    );
+    assert_eq!(rep.faults.aborts, 1);
+}
+
+#[test]
+fn time_triggered_crash_recovery_is_pinned() {
+    // A crash at an absolute simulated time lands wherever the cluster
+    // happens to be rather than at a barrier arrival, on a different
+    // machine and with a shorter reboot than the barrier-triggered case.
+    let g = undirected_graph(8);
+    let mut cfg = test_config(3);
+    cfg.checkpoint = true;
+    cfg.faults = FaultPlan::none().with_crash(CrashFault {
+        machine: 2,
+        trigger: CrashTrigger::Time(2 * chaos::sim::SECS / 1000),
+        downtime: chaos::sim::SECS / 10,
+        torn: false,
+    });
+    let rep = assert_pinned(
+        "time crash",
+        cfg,
+        Wcc::new(),
+        &g,
+        pin(0x3adb6f86e5c2b42b, 105_841_009, 2073, 53405),
     );
     assert_eq!(rep.faults.aborts, 1);
 }
