@@ -119,7 +119,7 @@ mod tests {
     use chaos_graph::reference::bfs_levels;
     use chaos_graph::{builder, RmatConfig};
 
-    fn check(g: &chaos_graph::InputGraph, root: u64) {
+    fn check(g: &chaos_graph::InputGraph, root: VertexId) {
         let res = run_sequential(Bfs::new(root), g, 10_000);
         let oracle = bfs_levels(g, root);
         let got: Vec<u32> = res.states;

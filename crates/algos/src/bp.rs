@@ -48,7 +48,7 @@ impl GasProgram for BeliefPropagation {
     }
 
     fn init(&self, v: VertexId, _out_degree: u64) -> f64 {
-        bp_prior(v, self.seed)
+        bp_prior(u64::from(v), self.seed)
     }
 
     fn scatter(&self, _v: VertexId, state: &f64, _edge: &Edge, _iter: u32) -> Option<f64> {
@@ -66,7 +66,7 @@ impl GasProgram for BeliefPropagation {
     }
 
     fn apply(&self, v: VertexId, state: &mut f64, acc: &LogLikelihoods, _iter: u32) -> bool {
-        let p = bp_prior(v, self.seed);
+        let p = bp_prior(u64::from(v), self.seed);
         let b1 = p.ln() + acc.log1;
         let b0 = (1.0 - p).ln() + acc.log0;
         let max = b1.max(b0);

@@ -7,8 +7,8 @@ use chaos_sim::rng::mix2;
 /// Deterministic membership predicate: roughly half the vertices, chosen by
 /// a seeded hash bit. Shared between the GAS program and the oracle-based
 /// tests.
-pub fn in_set(v: u64, seed: u64) -> bool {
-    mix2(seed, v) & 1 == 1
+pub fn in_set(v: VertexId, seed: u64) -> bool {
+    mix2(seed, u64::from(v)) & 1 == 1
 }
 
 /// Conductance measures, for a vertex subset S, the fraction of edge volume

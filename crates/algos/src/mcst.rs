@@ -203,6 +203,7 @@ impl GasProgram for Mcst {
     }
 
     fn init(&self, v: VertexId, _out_degree: u64) -> McstState {
+        let v = u64::from(v);
         McstState {
             comp: v,
             label: v,
@@ -586,7 +587,7 @@ mod tests {
 
     #[test]
     fn triangle() {
-        let mk = |w: &[(u64, u64, f32)]| {
+        let mk = |w: &[(VertexId, VertexId, f32)]| {
             let mut es = Vec::new();
             for &(a, b, wt) in w {
                 es.push(chaos_graph::Edge::weighted(a, b, wt));

@@ -85,10 +85,9 @@ impl GasProgram for Mis {
             return None; // Self-loops never constrain MIS membership.
         }
         match self.phase {
-            Phase::Select => {
-                (state.0 == UNDECIDED).then(|| (luby_priority(v, self.round, self.seed), v))
-            }
-            Phase::Notify => (state.0 == IN && state.1).then_some((0, v)),
+            Phase::Select => (state.0 == UNDECIDED)
+                .then(|| (luby_priority(v, self.round, self.seed), u64::from(v))),
+            Phase::Notify => (state.0 == IN && state.1).then_some((0, u64::from(v))),
         }
     }
 
@@ -127,7 +126,7 @@ impl GasProgram for Mis {
                 if state.0 != UNDECIDED {
                     return false;
                 }
-                let mine = (luby_priority(v, self.round, self.seed), v);
+                let mine = (luby_priority(v, self.round, self.seed), u64::from(v));
                 let wins = match acc.min_rival {
                     None => true,
                     Some(rival) => mine < rival,
@@ -189,7 +188,8 @@ impl GasProgram for Mis {
             Phase::Select => {
                 for e in edges {
                     if e.src != e.dst && states[(e.src - base) as usize].0 == UNDECIDED {
-                        out.push(e.dst, (luby_priority(e.src, self.round, self.seed), e.src));
+                        let priority = luby_priority(e.src, self.round, self.seed);
+                        out.push(e.dst, (priority, u64::from(e.src)));
                     }
                 }
             }
@@ -197,7 +197,7 @@ impl GasProgram for Mis {
                 for e in edges {
                     let s = &states[(e.src - base) as usize];
                     if e.src != e.dst && s.0 == IN && s.1 {
-                        out.push(e.dst, (0, e.src));
+                        out.push(e.dst, (0, u64::from(e.src)));
                     }
                 }
             }

@@ -1,5 +1,7 @@
 //! Shared algorithm parameters.
 
+use chaos_graph::VertexId;
+
 /// Names of the ten algorithms in the order of Table 1.
 pub const ALGO_NAMES: [&str; 10] = [
     "BFS", "WCC", "MCST", "MIS", "SSSP", "SCC", "PR", "Cond", "SpMV", "BP",
@@ -11,7 +13,7 @@ pub const ALGO_NAMES: [&str; 10] = [
 #[derive(Debug, Clone, Copy)]
 pub struct AlgoParams {
     /// Root vertex for BFS / SSSP.
-    pub root: u64,
+    pub root: VertexId,
     /// Pagerank iteration count (the paper runs 5 on RMAT-36, §9.3).
     pub pr_iterations: u32,
     /// Belief-propagation iteration count.

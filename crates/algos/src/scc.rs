@@ -71,7 +71,7 @@ impl GasProgram for Scc {
     }
 
     fn init(&self, v: VertexId, _out_degree: u64) -> (u64, u64, bool) {
-        (v, UNASSIGNED, false)
+        (u64::from(v), UNASSIGNED, false)
     }
 
     fn direction(&self) -> Direction {
@@ -154,7 +154,7 @@ impl GasProgram for Scc {
             Phase::BackwardInit => {
                 // Roots: unassigned vertices whose color survived as their
                 // own id claim their SCC.
-                if state.1 == UNASSIGNED && state.0 == v {
+                if state.1 == UNASSIGNED && state.0 == u64::from(v) {
                     state.1 = state.0;
                     state.2 = true;
                     true
@@ -174,7 +174,7 @@ impl GasProgram for Scc {
             Phase::Reset => {
                 state.2 = false;
                 if state.1 == UNASSIGNED {
-                    state.0 = v;
+                    state.0 = u64::from(v);
                     true
                 } else {
                     false
@@ -342,7 +342,7 @@ mod tests {
         let mut g = builder::cycle(4);
         let mut edges = g.edges.clone();
         // Second cycle 4..8 and a one-way bridge.
-        for i in 0..4u64 {
+        for i in 0..4u32 {
             edges.push(chaos_graph::Edge::new(4 + i, 4 + (i + 1) % 4));
         }
         edges.push(chaos_graph::Edge::new(1, 5));

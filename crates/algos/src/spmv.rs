@@ -38,7 +38,7 @@ impl GasProgram for Spmv {
     }
 
     fn init(&self, v: VertexId, _out_degree: u64) -> (f32, f32) {
-        (input_entry(v, self.seed) as f32, 0.0)
+        (input_entry(u64::from(v), self.seed) as f32, 0.0)
     }
 
     fn scatter(&self, _v: VertexId, state: &(f32, f32), edge: &Edge, _iter: u32) -> Option<f32> {

@@ -128,7 +128,7 @@ mod tests {
     use chaos_graph::reference::dijkstra;
     use chaos_graph::builder;
 
-    fn check(g: &chaos_graph::InputGraph, root: u64) {
+    fn check(g: &chaos_graph::InputGraph, root: VertexId) {
         let res = run_sequential(Sssp::new(root), g, 100_000);
         let oracle = dijkstra(g, root);
         for (v, (got, want)) in res.states.iter().zip(oracle.iter()).enumerate() {

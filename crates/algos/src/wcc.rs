@@ -32,7 +32,7 @@ impl GasProgram for Wcc {
     }
 
     fn init(&self, v: VertexId, _out_degree: u64) -> (u64, bool) {
-        (v, true)
+        (u64::from(v), true)
     }
 
     fn scatter(&self, _v: VertexId, state: &(u64, bool), _edge: &Edge, _iter: u32) -> Option<u64> {

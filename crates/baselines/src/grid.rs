@@ -112,8 +112,8 @@ impl GridPartitioner {
         let mut replicas: Vec<HashSet<u32>> =
             vec![HashSet::new(); graph.num_vertices as usize];
         for e in &graph.edges {
-            let cu = self.candidates(e.src);
-            let cv = self.candidates(e.dst);
+            let cu = self.candidates(u64::from(e.src));
+            let cv = self.candidates(u64::from(e.dst));
             // Intersection is non-empty by construction (the cell machines
             // of either vertex are in both sets when rows == cols; in the
             // general rectangular case the row/column overlap guarantees

@@ -14,7 +14,7 @@
 //! distributed engine's results.
 
 use chaos_gas::{Control, Direction, GasProgram, IterationAggregates, Update};
-use chaos_graph::{partition_edges, InputGraph, PartitionSpec, SizeModel};
+use chaos_graph::{partition_edges, InputGraph, PartitionSpec, SizeModel, VertexId};
 use chaos_sim::{Resource, Time};
 use chaos_storage::DeviceProfile;
 
@@ -163,7 +163,7 @@ impl XStream {
         } else {
             Vec::new()
         };
-        let mut states: Vec<P::VertexState> = (0..graph.num_vertices)
+        let mut states: Vec<P::VertexState> = (0..graph.num_vertices as VertexId)
             .map(|v| program.init(v, degrees[v as usize]))
             .collect();
 
@@ -223,7 +223,7 @@ impl XStream {
                     program.gather(&mut accums[off], u.dst, &states[u.dst as usize], &u.payload);
                 }
                 for (off, acc) in accums.iter().enumerate() {
-                    let v = base + off as u64;
+                    let v = base + off as VertexId;
                     if program.apply(v, &mut states[v as usize], acc, iter) {
                         agg.vertices_changed += 1;
                     }

@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use chaos_algos::{needs_undirected, needs_weights, with_algo, AlgoParams, ALGO_NAMES};
 use chaos_core::{run_chaos, ChaosConfig, FaultPlan, FaultPlanConfig, Streaming};
+use chaos_graph::rmat::MAX_SCALE;
 use chaos_graph::RmatConfig;
 
 const USAGE: &str = "usage: cellstats [ALGO [MACHINES [SCALE [selective|reference|dense]]]]
@@ -133,6 +134,11 @@ fn parse_args(mut args: Vec<String>) -> Result<Args, String> {
         return Err("need at least one machine".into());
     }
     let scale = positional(&args, 2, "RMAT scale", 14)?;
+    if scale > MAX_SCALE {
+        return Err(format!(
+            "RMAT scale must be at most {MAX_SCALE} (4-byte vertex ids)"
+        ));
+    }
     let streaming = match args.get(3) {
         None => Streaming::Selective,
         Some(s) => s.parse()?,

@@ -330,7 +330,7 @@ impl Harness {
             // endpoints only — independent of edge order and of how the
             // dataset was stored.
             for e in &mut g.edges {
-                let h = chaos_sim::rng::mix2(e.src, e.dst);
+                let h = chaos_sim::rng::mix2(u64::from(e.src), u64::from(e.dst));
                 e.weight = (h % 1000 + 1) as f32 / 1000.0;
             }
             g.weighted = true;

@@ -57,6 +57,7 @@ fn other_bad_arguments_are_usage_errors() {
     assert_usage_error(&["PR", "4", "12", "eager"], "unknown streaming mode");
     assert_usage_error(&["PR", "0"], "need at least one machine");
     assert_usage_error(&["PR", "four"], "bad machine count");
+    assert_usage_error(&["PR", "4", "40"], "RMAT scale must be at most 31");
     assert_usage_error(
         &["PR", "4", "12", "selective", "extra"],
         "unexpected argument",

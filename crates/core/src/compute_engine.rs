@@ -102,22 +102,30 @@ impl<P: GasProgram> PartWork<P> {
 
 /// Routes kernel-emitted updates into the engine's pooled per-partition
 /// output buffers, recording which buffers filled during the chunk.
+///
+/// The sink keeps no per-update counter (the caller reads the buffers'
+/// growth instead) and carries the partition shift in a field of its own,
+/// so the per-update path is a shift, a clamp and a push.
 struct PartitionSink<'a, U> {
     spec: &'a PartitionSpec,
+    /// `log2(spec.stride)` when the stride is a power of two (the common
+    /// case); `None` routes through [`PartitionSpec::partition_of`].
+    shift: Option<u32>,
     bufs: &'a mut [Vec<Update<U>>],
     /// Target records per update chunk; a buffer crossing this is flushed
     /// after the kernel returns.
     cap: usize,
     /// Buffers that reached `cap` during this chunk, in fill order.
     full: &'a mut Vec<usize>,
-    produced: u64,
 }
 
 impl<U> UpdateSink<U> for PartitionSink<'_, U> {
     #[inline]
     fn push(&mut self, dst: VertexId, payload: U) {
-        self.produced += 1;
-        let tp = self.spec.partition_of(dst);
+        let tp = match self.shift {
+            Some(s) => ((dst >> s) as usize).min(self.bufs.len() - 1),
+            None => self.spec.partition_of(dst),
+        };
         let b = &mut self.bufs[tp];
         b.push(Update { dst, payload });
         if b.len() == self.cap {
@@ -456,7 +464,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             let program = &self.program;
             let vertices = &w.vertices;
             let set = ActiveSet::from_fn(base, n, |off| {
-                program.is_active(base + off as u64, &vertices[off], iter)
+                program.is_active(base + off as VertexId, &vertices[off], iter)
             });
             let count = set.active_count();
             // A full set carries no information: stream densely for free.
@@ -656,11 +664,12 @@ impl<P: GasProgram> ComputeEngine<P> {
             if dv.is_empty() {
                 dv.resize(self.params.spec.len(p) as usize, 0);
             }
-            dv[(e.src - p as u64 * stride) as usize] += 1;
+            let off = u64::from(e.src) - p as u64 * stride;
+            dv[off as usize] += 1;
             // Buffers are bin-pure: an edge lands in the buffer of its
             // partition *and* scatter-key sub-range, so every flushed
             // chunk covers at most one bin of the partition.
-            let slot = p * bins + cluster.bin_of_offset(e.src - p as u64 * stride) as usize;
+            let slot = p * bins + cluster.bin_of_offset(off) as usize;
             self.pp.edge_bufs[slot].push(*e);
             if self.pp.edge_bufs[slot].len() >= self.params.edges_per_chunk {
                 // Swap a pre-sized buffer in so the refill never regrows.
@@ -670,8 +679,8 @@ impl<P: GasProgram> ComputeEngine<P> {
             }
             if reverse_too {
                 let rp = self.params.spec.partition_of(e.dst);
-                let rslot =
-                    rp * bins + cluster.bin_of_offset(e.dst - rp as u64 * stride) as usize;
+                let rslot = rp * bins
+                    + cluster.bin_of_offset(u64::from(e.dst) - rp as u64 * stride) as usize;
                 self.pp.redge_bufs[rslot].push(*e);
                 if self.pp.redge_bufs[rslot].len() >= self.params.edges_per_chunk {
                     let buf = &mut self.pp.redge_bufs[rslot];
@@ -827,11 +836,11 @@ impl<P: GasProgram> ComputeEngine<P> {
                 }
                 let base = self.params.spec.range(p).start;
                 let dv = std::mem::take(&mut self.pp.degree_counts[p]);
-                let entries: Vec<(u64, u32)> = dv
+                let entries: Vec<(VertexId, u32)> = dv
                     .iter()
                     .enumerate()
                     .filter(|(_, &c)| c > 0)
-                    .map(|(off, &c)| (base + off as u64, c))
+                    .map(|(off, &c)| (base + off as VertexId, c))
                     .collect();
                 let bytes = entries.len() as u64 * 12 + CONTROL_BYTES;
                 self.pp.degree_acks_pending += 1;
@@ -856,7 +865,7 @@ impl<P: GasProgram> ComputeEngine<P> {
         &mut self,
         ctx: &mut Ctx<P>,
         part: usize,
-        counts: &[(u64, u32)],
+        counts: &[(VertexId, u32)],
         from: usize,
     ) {
         debug_assert_eq!(self.params.master(part), self.machine);
@@ -1247,18 +1256,21 @@ impl<P: GasProgram> ComputeEngine<P> {
         // One batched kernel call per chunk; the sink routes updates into
         // the pooled per-partition buffers. In steady state (no buffer
         // crossing its flush threshold) this path performs no allocation.
-        let produced = {
-            let mut sink = PartitionSink {
-                spec: &self.params.spec,
-                bufs: &mut self.out_bufs,
-                cap: self.params.updates_per_chunk,
-                full: &mut self.flush_scratch,
-                produced: 0,
-            };
-            self.program
-                .scatter_chunk(base, &w.vertices, &data, self.iter, &mut sink);
-            sink.produced
+        let buffered = |bufs: &[Vec<Update<P::Update>>]| bufs.iter().map(Vec::len).sum::<usize>();
+        let before = buffered(&self.out_bufs);
+        let stride = self.params.spec.stride;
+        let mut sink = PartitionSink {
+            spec: &self.params.spec,
+            shift: stride.is_power_of_two().then(|| stride.trailing_zeros()),
+            bufs: &mut self.out_bufs,
+            cap: self.params.updates_per_chunk,
+            full: &mut self.flush_scratch,
         };
+        self.program
+            .scatter_chunk(base, &w.vertices, &data, self.iter, &mut sink);
+        // Full buffers are flushed only after the kernel returns, so the
+        // buffers' growth is exactly what the chunk produced.
+        let produced = (buffered(&self.out_bufs) - before) as u64;
         self.agg.updates_produced += produced;
         w.inflight_compute -= 1;
         if self.activity_on() {
@@ -1599,7 +1611,7 @@ impl<P: GasProgram> ComputeEngine<P> {
             }
         }
         for (off, (state, acc)) in fin.vertices.iter_mut().zip(fin.accums.iter()).enumerate() {
-            let v = base + off as u64;
+            let v = base + off as VertexId;
             if self.program.apply(v, state, acc, self.iter) {
                 self.agg.vertices_changed += 1;
             }
@@ -2265,11 +2277,11 @@ mod tests {
             }
 
             fn init(&self, v: VertexId, _d: u64) -> u64 {
-                v
+                u64::from(v)
             }
 
             fn scatter(&self, _v: VertexId, state: &u64, edge: &Edge, _i: u32) -> Option<u64> {
-                Some(state ^ edge.dst)
+                Some(state ^ u64::from(edge.dst))
             }
 
             fn gather(&self, acc: &mut u64, _dst: VertexId, _s: &u64, payload: &u64) {
@@ -2357,7 +2369,7 @@ mod tests {
             let updates: Arc<Vec<chaos_gas::Update<u64>>> = Arc::new(
                 (0..512u64)
                     .map(|i| chaos_gas::Update {
-                        dst: i % 64,
+                        dst: (i % 64) as VertexId,
                         payload: i,
                     })
                     .collect(),
@@ -2414,7 +2426,7 @@ mod tests {
             }
 
             fn init(&self, v: VertexId, _d: u64) -> u64 {
-                v
+                u64::from(v)
             }
 
             fn scatter(&self, _v: VertexId, _s: &u64, _e: &Edge, _i: u32) -> Option<u64> {

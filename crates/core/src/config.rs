@@ -257,6 +257,9 @@ impl ChaosConfig {
         if self.chunk_bytes < 1024 {
             return Err("chunks below 1 KiB defeat sequential access".into());
         }
+        if self.mem_budget == 0 {
+            return Err("vertex memory budget must be positive".into());
+        }
         if self.batch_window == 0 {
             return Err("batch window must be at least 1".into());
         }
@@ -306,6 +309,9 @@ mod tests {
         let mut c = ChaosConfig::new(2);
         c.batch_window = 0;
         assert!(c.validate().is_err());
+        let mut c = ChaosConfig::new(2);
+        c.mem_budget = 0;
+        assert!(c.validate().is_err(), "no room for any partition");
         let mut c = ChaosConfig::new(2).with_crash(0, 1, 0);
         assert!(c.validate().is_err(), "failure without checkpointing");
         c.checkpoint = true;

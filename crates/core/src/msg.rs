@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use chaos_gas::{ActiveSet, GasProgram, IterationAggregates, Update};
-use chaos_graph::Edge;
+use chaos_graph::{Edge, VertexId};
 
 /// Account of chunks an activity filter consumed without serving (piggy-
 /// backed on the chunk response; metadata-only, no wire-size charge).
@@ -294,7 +294,7 @@ pub enum Msg<P: GasProgram> {
         /// Partition.
         part: usize,
         /// Sparse `(vertex, count)` pairs.
-        counts: Arc<Vec<(u64, u32)>>,
+        counts: Arc<Vec<(VertexId, u32)>>,
         /// Sender.
         from: usize,
     },

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use chaos_gas::{GasProgram, Update};
-use chaos_graph::Edge;
+use chaos_graph::{Edge, VertexId};
 use chaos_runtime::Actor;
 use chaos_sim::{rng::mix2, Time, MICROS};
 use chaos_storage::{
@@ -462,8 +462,12 @@ impl<P: GasProgram> StorageEngine<P> {
             let (index, blocks) =
                 prepare_edge_chunk(&mut chunk, reverse, self.params.block_records);
             debug_assert!(
-                self.params.cluster.bin_of(&self.params.spec, part, index.lo)
-                    == self.params.cluster.bin_of(&self.params.spec, part, index.hi),
+                {
+                    // Index keys are vertex ids widened to u64.
+                    let (cluster, spec) = (&self.params.cluster, &self.params.spec);
+                    let bin = |k: u64| cluster.bin_of(spec, part, k as VertexId);
+                    bin(index.lo) == bin(index.hi)
+                },
                 "cut chunk of partition {part} spans multiple cluster bins"
             );
             set.append_with_blocks(chunk, Some(index), blocks)

@@ -46,9 +46,13 @@ pub enum ActivityModel {
 /// chunk request. Identical for every engine streaming the partition —
 /// masters and stealers load the same vertex set — so skip decisions are
 /// consistent under work stealing.
+///
+/// Window queries take inclusive `u64` key windows, the key space of the
+/// storage side's chunk and block indexes (whose empty window is
+/// `(u64::MAX, 0)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveSet {
-    base: VertexId,
+    base: u64,
     len: u64,
     words: Vec<u64>,
     active: u64,
@@ -67,7 +71,7 @@ impl ActiveSet {
             }
         }
         Self {
-            base,
+            base: u64::from(base),
             len: n as u64,
             words,
             active,
@@ -76,7 +80,7 @@ impl ActiveSet {
 
     /// First vertex id covered.
     pub fn base(&self) -> VertexId {
-        self.base
+        self.base as VertexId
     }
 
     /// Number of vertices covered.
@@ -108,6 +112,7 @@ impl ActiveSet {
     /// Whether vertex `v` is active. Vertices outside the covered range
     /// are inactive.
     pub fn contains(&self, v: VertexId) -> bool {
+        let v = u64::from(v);
         if v < self.base || v >= self.base + self.len {
             return false;
         }
@@ -118,7 +123,7 @@ impl ActiveSet {
     /// Whether any vertex in the *inclusive* id window `[lo, hi]` is
     /// active — the chunk-skip test. An inverted window (`lo > hi`, the
     /// representation of an empty chunk) holds nothing.
-    pub fn any_in_window(&self, lo: VertexId, hi: VertexId) -> bool {
+    pub fn any_in_window(&self, lo: u64, hi: u64) -> bool {
         if lo > hi || self.active == 0 {
             return false;
         }
@@ -145,7 +150,7 @@ impl ActiveSet {
     /// With sorted chunk interiors the serving side binary-searches the
     /// block index for the block containing the returned key, jumping over
     /// every block between two frontier vertices in one step.
-    pub fn first_active_in(&self, lo: VertexId, hi: VertexId) -> Option<VertexId> {
+    pub fn first_active_in(&self, lo: u64, hi: u64) -> Option<u64> {
         if lo > hi || self.active == 0 || self.len == 0 {
             return None;
         }
@@ -247,7 +252,7 @@ mod tests {
                 let first = s.first_active_in(lo, hi);
                 assert_eq!(first.is_some(), s.any_in_window(lo, hi));
                 if let Some(v) = first {
-                    assert!(s.contains(v) && v >= lo && v <= hi);
+                    assert!(s.contains(v as VertexId) && v >= lo && v <= hi);
                     if v > lo {
                         assert!(!s.any_in_window(lo, v - 1), "nothing active below the returned key");
                     }

@@ -6,7 +6,7 @@
 //! semantic specification that the distributed engine must match
 //! bit-for-bit (modulo floating-point summation order).
 
-use chaos_graph::InputGraph;
+use chaos_graph::{InputGraph, VertexId};
 
 use crate::program::{Control, GasProgram, IterationAggregates};
 use crate::record::Update;
@@ -50,7 +50,7 @@ pub fn run_sequential<P: GasProgram>(
 ) -> SequentialResult<P::VertexState> {
     let degrees = graph.out_degrees();
     let n = graph.num_vertices as usize;
-    let mut states: Vec<P::VertexState> = (0..graph.num_vertices)
+    let mut states: Vec<P::VertexState> = (0..n as VertexId)
         .map(|v| program.init(v, degrees[v as usize]))
         .collect();
     let mut iterations = Vec::new();
@@ -74,7 +74,7 @@ pub fn run_sequential<P: GasProgram>(
             ..Default::default()
         };
         for v in 0..n {
-            if program.apply(v as u64, &mut states[v], &accums[v], iter) {
+            if program.apply(v as VertexId, &mut states[v], &accums[v], iter) {
                 agg.vertices_changed += 1;
             }
         }

@@ -4,6 +4,12 @@
 //! records as fixed-width little-endian byte strings. A hand-rolled codec
 //! (rather than serde) keeps the hot path allocation-free, the format
 //! stable, and the workspace dependency-light.
+//!
+//! Vertex ids are 4 bytes in memory ([`VertexId`]) but 8 bytes in the
+//! encoding: the encoded widths feed the cost model's frame sizes and the
+//! spill format, so they do not follow the in-memory layout. Encoding
+//! widens; decoding narrows and panics on an id past 4 bytes, which only
+//! a corrupted spill file can hold.
 
 use chaos_graph::VertexId;
 
@@ -94,17 +100,27 @@ impl<A: Record, B: Record, C: Record> Record for (A, B, C) {
     }
 }
 
+/// Writes a vertex id in its 8-byte encoding.
+fn encode_id(v: VertexId, out: &mut Vec<u8>) {
+    u64::from(v).encode(out);
+}
+
+/// Reads a vertex id from its 8-byte encoding.
+fn decode_id(buf: &[u8]) -> VertexId {
+    VertexId::try_from(u64::decode(buf)).expect("encoded vertex id exceeds 4 bytes")
+}
+
 impl Record for chaos_graph::Edge {
     const ENCODED_BYTES: usize = 20;
     fn encode(&self, out: &mut Vec<u8>) {
-        self.src.encode(out);
-        self.dst.encode(out);
+        encode_id(self.src, out);
+        encode_id(self.dst, out);
         self.weight.encode(out);
     }
     fn decode(buf: &[u8]) -> Self {
         Self {
-            src: u64::decode(buf),
-            dst: u64::decode(&buf[8..]),
+            src: decode_id(buf),
+            dst: decode_id(&buf[8..]),
             weight: f32::decode(&buf[16..]),
         }
     }
@@ -122,12 +138,12 @@ pub struct Update<U> {
 impl<U: Record> Record for Update<U> {
     const ENCODED_BYTES: usize = 8 + U::ENCODED_BYTES;
     fn encode(&self, out: &mut Vec<u8>) {
-        self.dst.encode(out);
+        encode_id(self.dst, out);
         self.payload.encode(out);
     }
     fn decode(buf: &[u8]) -> Self {
         Self {
-            dst: u64::decode(buf),
+            dst: decode_id(buf),
             payload: U::decode(&buf[8..]),
         }
     }
@@ -195,6 +211,27 @@ mod tests {
             payload: (7u32, 1.5f32),
         });
         assert_eq!(<Update<(u32, f32)> as Record>::ENCODED_BYTES, 16);
+    }
+
+    #[test]
+    fn ids_encode_in_eight_bytes() {
+        let e = chaos_graph::Edge::weighted(VertexId::MAX, 7, 0.5);
+        let mut buf = Vec::new();
+        e.encode(&mut buf);
+        assert_eq!(buf[..8], u64::from(VertexId::MAX).to_le_bytes());
+        roundtrip(e);
+        roundtrip(Update {
+            dst: VertexId::MAX,
+            payload: 2.5f32,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 4 bytes")]
+    fn wide_encoded_id_is_rejected() {
+        let mut buf = (1u64 << 32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0; 4]);
+        let _ = Update::<f32>::decode(&buf);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 
 use chaos_sim::Rng;
 
-use crate::types::{Edge, InputGraph};
+use crate::types::{vertex_id, Edge, InputGraph, VertexId};
 
 /// Directed path `0 -> 1 -> ... -> n-1`.
 pub fn path(n: u64) -> InputGraph {
-    let edges = (0..n.saturating_sub(1))
+    let edges = (0..vertex_id(n).saturating_sub(1))
         .map(|i| Edge::new(i, i + 1))
         .collect();
     InputGraph::new(n, edges, false)
@@ -14,21 +14,22 @@ pub fn path(n: u64) -> InputGraph {
 
 /// Directed cycle over `n` vertices.
 pub fn cycle(n: u64) -> InputGraph {
-    let edges = (0..n).map(|i| Edge::new(i, (i + 1) % n)).collect();
+    let k = vertex_id(n);
+    let edges = (0..k).map(|i| Edge::new(i, (i + 1) % k)).collect();
     InputGraph::new(n, edges, false)
 }
 
 /// Star: vertex 0 points at all others.
 pub fn star(n: u64) -> InputGraph {
-    let edges = (1..n).map(|i| Edge::new(0, i)).collect();
+    let edges = (1..vertex_id(n)).map(|i| Edge::new(0, i)).collect();
     InputGraph::new(n, edges, false)
 }
 
 /// Complete directed graph (no self loops).
 pub fn complete(n: u64) -> InputGraph {
     let mut edges = Vec::new();
-    for s in 0..n {
-        for d in 0..n {
+    for s in 0..vertex_id(n) {
+        for d in 0..vertex_id(n) {
             if s != d {
                 edges.push(Edge::new(s, d));
             }
@@ -41,9 +42,10 @@ pub fn complete(n: u64) -> InputGraph {
 /// connectivity and conductance tests.
 pub fn two_cliques(k: u64) -> InputGraph {
     let mut edges = Vec::new();
-    for base in [0, k] {
-        for s in 0..k {
-            for d in 0..k {
+    let k32 = vertex_id(k);
+    for base in [0, k32] {
+        for s in 0..k32 {
+            for d in 0..k32 {
                 if s != d {
                     edges.push(Edge::new(base + s, base + d));
                 }
@@ -58,8 +60,8 @@ pub fn gnm(n: u64, m: u64, weighted: bool, seed: u64) -> InputGraph {
     let mut rng = Rng::new(seed);
     let mut edges = Vec::with_capacity(m as usize);
     for i in 0..m {
-        let src = rng.below(n);
-        let dst = rng.below(n);
+        let src = rng.below(n) as VertexId;
+        let dst = rng.below(n) as VertexId;
         let weight = if weighted {
             // Guaranteed-distinct weights: a strictly increasing base plus
             // jitter, then shuffled implicitly by random endpoints.
@@ -84,14 +86,15 @@ pub fn connected_weighted(n: u64, extra: u64, seed: u64) -> InputGraph {
         w
     };
     for v in 1..n {
-        let parent = rng.below(v);
+        let parent = rng.below(v) as VertexId;
+        let v = vertex_id(v);
         let wt = next_weight(&mut rng);
         edges.push(Edge::weighted(parent, v, wt));
         edges.push(Edge::weighted(v, parent, wt));
     }
     for _ in 0..extra {
-        let a = rng.below(n);
-        let b = rng.below(n);
+        let a = rng.below(n) as VertexId;
+        let b = rng.below(n) as VertexId;
         if a == b {
             continue;
         }
@@ -128,7 +131,7 @@ mod tests {
         // Undirected reachability from 0 covers everything.
         let adj = g.adjacency();
         let mut seen = [false; 20];
-        let mut stack = vec![0u64];
+        let mut stack: Vec<VertexId> = vec![0];
         seen[0] = true;
         while let Some(v) = stack.pop() {
             for (n, _) in adj.neighbors(v) {

@@ -5,16 +5,16 @@
 //! (§8). This module reads and writes that format in two encodings:
 //!
 //! - **binary**: fixed-width little-endian records matching the storage
-//!   byte model (4- or 8-byte ids depending on vertex count, optional
-//!   weight), with a small self-describing header;
+//!   byte model (4-byte ids, optional weight; 8-byte-id files are read
+//!   as long as their ids fit 4 bytes), with a small self-describing
+//!   header;
 //! - **text**: whitespace-separated `src dst [weight]` lines, `#` comments
 //!   allowed — the de-facto exchange format (SNAP, Graph500).
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::size::SizeModel;
-use crate::types::{Edge, InputGraph};
+use crate::types::{Edge, InputGraph, VertexId, MAX_VERTICES};
 
 /// Magic bytes of the binary format ("CHAOSEL1").
 const MAGIC: &[u8; 8] = b"CHAOSEL1";
@@ -26,19 +26,15 @@ const MAGIC: &[u8; 8] = b"CHAOSEL1";
 /// Returns any I/O error from the underlying writer.
 pub fn write_binary(g: &InputGraph, path: &Path) -> std::io::Result<()> {
     let mut w = BufWriter::new(std::fs::File::create(path)?);
-    let sizes = SizeModel::for_graph(g.num_vertices, g.weighted);
     w.write_all(MAGIC)?;
     w.write_all(&g.num_vertices.to_le_bytes())?;
     w.write_all(&g.num_edges().to_le_bytes())?;
-    w.write_all(&[u8::from(g.weighted), sizes.id_bytes as u8])?;
+    // A graph holds at most MAX_VERTICES vertices, so its ids take the
+    // compact 4-byte width.
+    w.write_all(&[u8::from(g.weighted), 4])?;
     for e in &g.edges {
-        if sizes.id_bytes == 4 {
-            w.write_all(&(e.src as u32).to_le_bytes())?;
-            w.write_all(&(e.dst as u32).to_le_bytes())?;
-        } else {
-            w.write_all(&e.src.to_le_bytes())?;
-            w.write_all(&e.dst.to_le_bytes())?;
-        }
+        w.write_all(&e.src.to_le_bytes())?;
+        w.write_all(&e.dst.to_le_bytes())?;
         if g.weighted {
             w.write_all(&e.weight.to_le_bytes())?;
         }
@@ -50,8 +46,9 @@ pub fn write_binary(g: &InputGraph, path: &Path) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns an `InvalidData` error for malformed headers or truncated
-/// payloads, or any underlying I/O error.
+/// Returns an `InvalidData` error for malformed headers, truncated
+/// payloads, more than [`MAX_VERTICES`] vertices or an endpoint out of
+/// range, or any underlying I/O error.
 pub fn read_binary(path: &Path) -> std::io::Result<InputGraph> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
@@ -63,6 +60,9 @@ pub fn read_binary(path: &Path) -> std::io::Result<InputGraph> {
     let mut u64buf = [0u8; 8];
     r.read_exact(&mut u64buf)?;
     let num_vertices = u64::from_le_bytes(u64buf);
+    if num_vertices > MAX_VERTICES {
+        return Err(bad("vertex count exceeds the 4-byte id space"));
+    }
     r.read_exact(&mut u64buf)?;
     let num_edges = u64::from_le_bytes(u64buf);
     let mut flags = [0u8; 2];
@@ -99,10 +99,11 @@ pub fn read_binary(path: &Path) -> std::io::Result<InputGraph> {
         } else {
             1.0
         };
+        // Below `num_vertices`, so within the 4-byte id space.
         if src >= num_vertices || dst >= num_vertices {
             return Err(bad("edge endpoint out of range"));
         }
-        edges.push(Edge { src, dst, weight });
+        edges.push(Edge::weighted(src as VertexId, dst as VertexId, weight));
     }
     Ok(InputGraph {
         num_vertices,
@@ -135,7 +136,9 @@ pub fn write_text(g: &InputGraph, path: &Path) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns an `InvalidData` error for unparseable lines.
+/// Returns an `InvalidData` error for unparseable lines and for ids that
+/// do not fit in a [`VertexId`] (which bounds the graph to
+/// [`MAX_VERTICES`] vertices).
 pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
     let r = BufReader::new(std::fs::File::open(path)?);
     let bad = |line: usize, msg: &str| {
@@ -146,7 +149,7 @@ pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
     };
     let mut edges = Vec::new();
     let mut weighted = false;
-    let mut max_id = 0u64;
+    let mut max_id: VertexId = 0;
     for (no, line) in r.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -154,16 +157,22 @@ pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
             continue;
         }
         let mut it = line.split_whitespace();
-        let src: u64 = it
-            .next()
-            .ok_or_else(|| bad(no + 1, "missing source"))?
-            .parse()
-            .map_err(|_| bad(no + 1, "bad source id"))?;
-        let dst: u64 = it
-            .next()
-            .ok_or_else(|| bad(no + 1, "missing target"))?
-            .parse()
-            .map_err(|_| bad(no + 1, "bad target id"))?;
+        let mut id = |what: &str| -> std::io::Result<VertexId> {
+            let tok = it
+                .next()
+                .ok_or_else(|| bad(no + 1, &format!("missing {what}")))?;
+            let v: u64 = tok
+                .parse()
+                .map_err(|_| bad(no + 1, &format!("bad {what} id")))?;
+            // `max id + 1` vertices must stay within MAX_VERTICES.
+            let wide = || bad(no + 1, &format!("{what} id {v} exceeds the 4-byte id space"));
+            VertexId::try_from(v)
+                .ok()
+                .filter(|&v| v < VertexId::MAX)
+                .ok_or_else(wide)
+        };
+        let src = id("source")?;
+        let dst = id("target")?;
         let weight = match it.next() {
             Some(tok) => {
                 weighted = true;
@@ -174,7 +183,11 @@ pub fn read_text(path: &Path) -> std::io::Result<InputGraph> {
         max_id = max_id.max(src).max(dst);
         edges.push(Edge { src, dst, weight });
     }
-    let num_vertices = if edges.is_empty() { 0 } else { max_id + 1 };
+    let num_vertices = if edges.is_empty() {
+        0
+    } else {
+        u64::from(max_id) + 1
+    };
     Ok(InputGraph {
         num_vertices,
         edges,
@@ -232,6 +245,52 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.num_vertices, 3);
         assert!(!g.weighted);
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A binary file with the given header and 8-byte-id unweighted edges.
+    fn binary_with(num_vertices: u64, edges: &[(u64, u64)]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&num_vertices.to_le_bytes());
+        b.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+        b.extend_from_slice(&[0, 8]);
+        for &(s, d) in edges {
+            b.extend_from_slice(&s.to_le_bytes());
+            b.extend_from_slice(&d.to_le_bytes());
+        }
+        b
+    }
+
+    fn invalid_data<T: std::fmt::Debug>(r: std::io::Result<T>) -> String {
+        let e = r.expect_err("input must be rejected");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        e.to_string()
+    }
+
+    #[test]
+    fn ids_past_four_bytes_are_invalid_data() {
+        let p = tmp("wide");
+        let ok = 1u64 << 20;
+        std::fs::write(&p, binary_with(ok, &[(0, ok - 1)])).expect("write");
+        let g = read_binary(&p).expect("8-byte ids in range read");
+        assert_eq!(g.num_vertices, ok);
+
+        std::fs::write(&p, binary_with(MAX_VERTICES + 1, &[(0, 1)])).expect("write");
+        assert!(invalid_data(read_binary(&p)).contains("4-byte id space"));
+        std::fs::write(&p, binary_with(ok, &[(0, 1 << 32)])).expect("write");
+        assert!(invalid_data(read_binary(&p)).contains("out of range"));
+
+        for line in [
+            "0 4294967296\n",
+            "4294967295 1\n",
+            "0 18446744073709551616\n",
+        ] {
+            std::fs::write(&p, line).expect("write");
+            invalid_data(read_text(&p));
+        }
+        std::fs::write(&p, "0 4294967294\n").expect("write");
+        let g = read_text(&p).expect("largest id reads");
+        assert_eq!(g.num_vertices, MAX_VERTICES);
         std::fs::remove_file(&p).ok();
     }
 

@@ -20,5 +20,5 @@ pub mod webgraph;
 pub use partition::{partition_edges, BinSpec, PartitionSpec};
 pub use rmat::RmatConfig;
 pub use size::SizeModel;
-pub use types::{Adjacency, Edge, InputGraph, VertexId};
+pub use types::{Adjacency, Edge, InputGraph, VertexId, MAX_VERTICES};
 pub use webgraph::WebGraphConfig;

@@ -8,7 +8,7 @@
 //! consecutive vertex identifiers, and assigns each edge to the partition of
 //! its source vertex.
 
-use crate::types::{Edge, InputGraph, VertexId};
+use crate::types::{vertex_id, Edge, InputGraph, VertexId, MAX_VERTICES};
 
 /// The partitioning of a vertex id space into consecutive ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +26,10 @@ impl PartitionSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `num_partitions == 0`.
+    /// Panics if `num_partitions == 0` or `num_vertices > MAX_VERTICES`.
     pub fn with_partitions(num_vertices: u64, num_partitions: usize) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
+        assert!(num_vertices <= MAX_VERTICES, "vertex ids exceed 4 bytes");
         let stride = num_vertices.div_ceil(num_partitions as u64).max(1);
         Self {
             num_vertices,
@@ -73,6 +74,7 @@ impl PartitionSpec {
     /// predicts perfectly.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> usize {
+        let v = u64::from(v);
         debug_assert!(v < self.num_vertices);
         let q = if self.stride.is_power_of_two() {
             v >> self.stride.trailing_zeros()
@@ -87,17 +89,17 @@ impl PartitionSpec {
     /// # Panics
     ///
     /// Panics if `p >= num_partitions`.
-    pub fn range(&self, p: usize) -> std::ops::Range<u64> {
+    pub fn range(&self, p: usize) -> std::ops::Range<VertexId> {
         assert!(p < self.num_partitions);
         let lo = (p as u64 * self.stride).min(self.num_vertices);
         let hi = (lo + self.stride).min(self.num_vertices);
-        lo..hi
+        vertex_id(lo)..vertex_id(hi)
     }
 
     /// Number of vertices in partition `p`.
     pub fn len(&self, p: usize) -> u64 {
         let r = self.range(p);
-        r.end - r.start
+        u64::from(r.end - r.start)
     }
 
     /// True if partition `p` contains no vertices (possible when there are
@@ -183,7 +185,7 @@ impl BinSpec {
     #[inline]
     pub fn bin_of(&self, spec: &PartitionSpec, part: usize, v: VertexId) -> u32 {
         debug_assert!(spec.range(part).contains(&v));
-        self.bin_of_offset(v - part as u64 * spec.stride)
+        self.bin_of_offset(u64::from(v) - part as u64 * spec.stride)
     }
 
     /// Inclusive vertex-id range `(lo, hi)` of `bin` within partition
@@ -196,16 +198,17 @@ impl BinSpec {
         bin: u32,
     ) -> Option<(VertexId, VertexId)> {
         let r = spec.range(part);
-        let lo = r.start + bin as u64 * self.substride;
-        if lo >= r.end {
+        let end = u64::from(r.end);
+        let lo = u64::from(r.start) + bin as u64 * self.substride;
+        if lo >= end {
             return None;
         }
         let hi = if bin == self.bins - 1 {
-            r.end - 1
+            end - 1
         } else {
-            (lo + self.substride - 1).min(r.end - 1)
+            (lo + self.substride - 1).min(end - 1)
         };
-        Some((lo, hi))
+        Some((vertex_id(lo), vertex_id(hi)))
     }
 }
 
@@ -233,8 +236,8 @@ mod tests {
             let mut seen = 0u64;
             for i in 0..p {
                 let r = spec.range(i);
-                assert_eq!(r.start, seen.min(n));
-                seen = r.end;
+                assert_eq!(u64::from(r.start), seen.min(n));
+                seen = u64::from(r.end);
                 for v in r {
                     assert_eq!(spec.partition_of(v), i);
                 }

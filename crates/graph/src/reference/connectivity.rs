@@ -46,20 +46,20 @@ impl UnionFind {
 
 /// Weakly connected components; returns, per vertex, the minimum vertex id
 /// in its component (edge direction ignored).
-pub fn weakly_connected_components(g: &InputGraph) -> Vec<VertexId> {
+pub fn weakly_connected_components(g: &InputGraph) -> Vec<u64> {
     let mut uf = UnionFind::new(g.num_vertices as usize);
     for e in &g.edges {
-        uf.union(e.src as u32, e.dst as u32);
+        uf.union(e.src, e.dst);
     }
-    (0..g.num_vertices)
-        .map(|v| uf.find(v as u32) as VertexId)
+    (0..g.num_vertices as VertexId)
+        .map(|v| u64::from(uf.find(v)))
         .collect()
 }
 
 /// Strongly connected components via iterative Tarjan; returns, per vertex,
 /// the minimum vertex id of its SCC (a canonical label comparable across
 /// algorithms).
-pub fn strongly_connected_components(g: &InputGraph) -> Vec<VertexId> {
+pub fn strongly_connected_components(g: &InputGraph) -> Vec<u64> {
     let adj = g.adjacency();
     let n = g.num_vertices as usize;
     const NONE: u32 = u32::MAX;
@@ -67,7 +67,7 @@ pub fn strongly_connected_components(g: &InputGraph) -> Vec<VertexId> {
     let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
-    let mut scc_label = vec![0 as VertexId; n];
+    let mut scc_label = vec![0u64; n];
     let mut next_index = 0u32;
 
     // Explicit DFS machine: (vertex, neighbor iterator position).
@@ -101,7 +101,7 @@ pub fn strongly_connected_components(g: &InputGraph) -> Vec<VertexId> {
                 let child = nth_neighbor(&adj, v, i - 1);
                 lowlink[v as usize] = lowlink[v as usize].min(lowlink[child as usize]);
             }
-            let deg = adj.degree(v as u64);
+            let deg = adj.degree(v);
             let mut recursed = false;
             while i < deg {
                 let w = nth_neighbor(&adj, v, i);
@@ -129,7 +129,7 @@ pub fn strongly_connected_components(g: &InputGraph) -> Vec<VertexId> {
                         break;
                     }
                 }
-                let label = *members.iter().min().expect("non-empty scc") as VertexId;
+                let label = u64::from(*members.iter().min().expect("non-empty scc"));
                 for w in members {
                     scc_label[w as usize] = label;
                 }
@@ -139,10 +139,10 @@ pub fn strongly_connected_components(g: &InputGraph) -> Vec<VertexId> {
     scc_label
 }
 
-fn nth_neighbor(adj: &crate::types::Adjacency, v: u32, i: usize) -> u32 {
-    adj.neighbors(v as u64)
+fn nth_neighbor(adj: &crate::types::Adjacency, v: VertexId, i: usize) -> VertexId {
+    adj.neighbors(v)
         .nth(i)
-        .map(|(n, _)| n as u32)
+        .map(|(n, _)| n)
         .expect("neighbor index in range")
 }
 

@@ -2,15 +2,15 @@
 
 use chaos_sim::rng::mix2;
 
-use crate::types::InputGraph;
+use crate::types::{InputGraph, VertexId};
 
 /// Deterministic Luby priority for a vertex in a given round. Both the
 /// oracle and the distributed engine use this function, so they compute the
 /// *same* MIS and results can be compared exactly.
-pub fn luby_priority(v: u64, round: u32, seed: u64) -> u64 {
+pub fn luby_priority(v: VertexId, round: u32, seed: u64) -> u64 {
     // Fold the vertex id, round and seed; vertex id mixed last to decorrelate
     // neighbors.
-    mix2(mix2(seed, round as u64), v)
+    mix2(mix2(seed, round as u64), u64::from(v))
 }
 
 /// Sequential Luby MIS over the undirected graph; returns membership flags.
@@ -31,7 +31,7 @@ pub fn luby_mis(g: &InputGraph, seed: u64) -> Vec<bool> {
         // neighbors'. Ties broken by vertex id (priorities are u64 hashes,
         // collisions effectively impossible, but be safe).
         let mut newly_in = Vec::new();
-        for v in 0..n as u64 {
+        for v in 0..n as VertexId {
             if state[v as usize] != S::Undecided {
                 continue;
             }

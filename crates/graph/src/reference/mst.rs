@@ -1,6 +1,6 @@
 //! Kruskal minimum-spanning-forest oracle.
 
-use crate::types::InputGraph;
+use crate::types::{InputGraph, VertexId};
 
 /// Total weight of a minimum spanning forest of the *undirected* graph
 /// described by the edge list (each undirected edge may appear in one or
@@ -9,7 +9,7 @@ use crate::types::InputGraph;
 /// With distinct edge weights the MSF is unique, so the total weight is a
 /// complete correctness check for any MSF algorithm.
 pub fn minimum_spanning_forest_weight(g: &InputGraph) -> f64 {
-    let mut edges: Vec<(f32, u64, u64)> = g
+    let mut edges: Vec<(f32, VertexId, VertexId)> = g
         .edges
         .iter()
         .filter(|e| e.src != e.dst)
@@ -40,7 +40,7 @@ pub fn minimum_spanning_forest_weight(g: &InputGraph) -> f64 {
 
     let mut total = 0.0f64;
     for (w, a, b) in edges {
-        let (ra, rb) = (find(&mut parent, a as u32), find(&mut parent, b as u32));
+        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
         if ra != rb {
             parent[ra as usize] = rb;
             total += w as f64;

@@ -5,7 +5,11 @@
 
 use chaos_sim::Rng;
 
-use crate::types::{Edge, InputGraph};
+use crate::types::{Edge, InputGraph, VertexId};
+
+/// Largest scale [`RmatConfig::generate`] accepts: `2^31` vertices is the
+/// largest power of two within [`crate::MAX_VERTICES`].
+pub const MAX_SCALE: u32 = 31;
 
 /// Configuration of an RMAT generation run.
 #[derive(Debug, Clone)]
@@ -59,12 +63,16 @@ impl RmatConfig {
     /// # Panics
     ///
     /// Panics if the probabilities are malformed (negative or summing above
-    /// one) or if `scale >= 48` (edge counts would overflow practical memory).
+    /// one) or if `scale > MAX_SCALE` (ids would not fit in a [`VertexId`]).
     pub fn generate(&self) -> InputGraph {
         let (a, b, c) = self.probs;
         let d = 1.0 - a - b - c;
         assert!(a >= 0.0 && b >= 0.0 && c >= 0.0 && d >= 0.0, "bad RMAT probabilities");
-        assert!(self.scale < 48, "scale too large to materialize");
+        assert!(
+            self.scale <= MAX_SCALE,
+            "RMAT scale {} exceeds {MAX_SCALE}: 2^scale vertices must fit 4-byte ids",
+            self.scale
+        );
         let n = self.num_vertices();
         let m = self.num_edges();
         let mut rng = Rng::new(self.seed);
@@ -84,24 +92,22 @@ impl RmatConfig {
     }
 }
 
-/// Draws one edge by recursive quadrant descent.
-fn sample_edge(rng: &mut Rng, scale: u32, (a, b, c): (f64, f64, f64)) -> (u64, u64) {
-    let mut src = 0u64;
-    let mut dst = 0u64;
+/// Draws one edge by recursive quadrant descent, one draw per level.
+///
+/// The quadrant tests are branch-free: a draw lands in quadrant a (no
+/// bit), b (dst bit), c (src bit) or d (both) by where it falls against
+/// the cumulative thresholds, and data-dependent branches on uniform draws
+/// mispredict about half the time.
+fn sample_edge(rng: &mut Rng, scale: u32, (a, b, c): (f64, f64, f64)) -> (VertexId, VertexId) {
+    let (ab, abc) = (a + b, a + b + c);
+    let mut src: VertexId = 0;
+    let mut dst: VertexId = 0;
     for _ in 0..scale {
-        src <<= 1;
-        dst <<= 1;
         let r = rng.f64();
-        if r < a {
-            // top-left: neither bit set
-        } else if r < a + b {
-            dst |= 1;
-        } else if r < a + b + c {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let src_bit = r >= ab;
+        let dst_bit = (r >= a && r < ab) | (r >= abc);
+        src = (src << 1) | VertexId::from(src_bit);
+        dst = (dst << 1) | VertexId::from(dst_bit);
     }
     (src, dst)
 }
@@ -148,6 +154,37 @@ mod tests {
         assert!(g.edges.iter().all(|e| e.weight > 0.0 && e.weight < 1.0));
         let first = g.edges[0].weight;
         assert!(g.edges.iter().any(|e| e.weight != first));
+    }
+
+    /// Order-sensitive digest of the edge list, ids widened to `u64` so it
+    /// does not depend on the in-memory id width.
+    fn edge_digest(g: &InputGraph) -> u64 {
+        g.edges.iter().fold(g.num_vertices, |h, e| {
+            let h = chaos_sim::rng::mix2(h, u64::from(e.src));
+            let h = chaos_sim::rng::mix2(h, u64::from(e.dst));
+            chaos_sim::rng::mix2(h, u64::from(e.weight.to_bits()))
+        })
+    }
+
+    #[test]
+    fn edge_lists_are_pinned() {
+        // Any change to the draws, their order or the quadrant mapping
+        // moves these digests; the figures and every pinned result rest
+        // on these edge lists.
+        assert_eq!(
+            edge_digest(&RmatConfig::paper(12).generate()),
+            0x4600_3209_1936_c35d
+        );
+        assert_eq!(
+            edge_digest(&RmatConfig::paper_weighted(12).generate()),
+            0x006e_6770_f187_f89d
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 31")]
+    fn scale_past_the_id_space_is_rejected() {
+        let _ = RmatConfig::paper(32).generate();
     }
 
     #[test]

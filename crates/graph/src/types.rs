@@ -1,9 +1,33 @@
 //! Core graph types: edges, edge lists, adjacency views.
 
-/// Identifier of a vertex. The paper uses 4-byte ids for graphs under 2^32
-/// vertices and 8-byte ids beyond; we always hold ids in `u64` in memory and
-/// let [`crate::size::SizeModel`] account the on-storage width.
-pub type VertexId = u64;
+/// Identifier of a vertex, held in 4 bytes in memory.
+///
+/// The paper stores graphs under 2^32 vertices in "compact format, with 4
+/// bytes for each vertex" (§8), and every graph this system materializes
+/// is one: [`InputGraph`] holds at most [`MAX_VERTICES`] vertices. So an
+/// [`Edge`] is 12 bytes and an update carrying an `f32` is 8, which halves
+/// the bytes the scatter and gather kernels move compared with 8-byte ids.
+///
+/// The in-memory width is a host matter only. What a record is charged on
+/// storage and the network is [`crate::size::SizeModel`]'s business, and
+/// the fixed-width record encoding keeps 8 bytes per id. Counts (vertex
+/// totals, degrees, partition strides) stay `u64`.
+pub type VertexId = u32;
+
+/// Most vertices a graph may hold: every id fits a [`VertexId`], which is
+/// also where [`crate::size::SizeModel`] switches to 8-byte ids.
+pub const MAX_VERTICES: u64 = u32::MAX as u64;
+
+/// Narrows a vertex number held in a count (`u64`) to a [`VertexId`].
+///
+/// # Panics
+///
+/// Panics if `v` does not fit in 4 bytes; graphs are bounded by
+/// [`MAX_VERTICES`], so only a caller past that bound gets here.
+#[inline]
+pub(crate) fn vertex_id(v: u64) -> VertexId {
+    VertexId::try_from(v).expect("vertex id exceeds the 4-byte id space")
+}
 
 /// A directed edge with an optional weight.
 ///
@@ -65,11 +89,16 @@ impl InputGraph {
     ///
     /// # Panics
     ///
-    /// Panics if any edge references a vertex `>= num_vertices`.
+    /// Panics if `num_vertices > MAX_VERTICES` or any edge references a
+    /// vertex `>= num_vertices`.
     pub fn new(num_vertices: u64, edges: Vec<Edge>, weighted: bool) -> Self {
+        assert!(
+            num_vertices <= MAX_VERTICES,
+            "{num_vertices} vertices exceed the 4-byte id space"
+        );
         for e in &edges {
             assert!(
-                e.src < num_vertices && e.dst < num_vertices,
+                u64::from(e.src) < num_vertices && u64::from(e.dst) < num_vertices,
                 "edge ({}, {}) out of range for {} vertices",
                 e.src,
                 e.dst,

@@ -11,7 +11,7 @@
 
 use chaos_sim::{rng::mix64, Rng};
 
-use crate::types::{Edge, InputGraph};
+use crate::types::{Edge, InputGraph, VertexId, MAX_VERTICES};
 
 /// Configuration for the synthetic web graph.
 #[derive(Debug, Clone)]
@@ -51,9 +51,11 @@ impl WebGraphConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `pages == 0` or `pages_per_host == 0`.
+    /// Panics if `pages == 0`, `pages_per_host == 0` or `pages` exceeds
+    /// [`MAX_VERTICES`].
     pub fn generate(&self) -> InputGraph {
         assert!(self.pages > 0 && self.pages_per_host > 0);
+        assert!(self.pages <= MAX_VERTICES, "page ids must fit 4 bytes");
         let mut rng = Rng::new(self.seed);
         let n = self.pages;
         let hosts = n.div_ceil(self.pages_per_host);
@@ -79,7 +81,8 @@ impl WebGraphConfig {
                     let u = rng.f64();
                     lo + ((u * u * span as f64) as u64).min(span - 1)
                 };
-                edges.push(Edge::new(src, dst));
+                // Both below `pages`, so within the id space.
+                edges.push(Edge::new(src as VertexId, dst as VertexId));
             }
         }
         InputGraph::new(n, edges, false)
@@ -136,7 +139,9 @@ mod tests {
         let intra = g
             .edges
             .iter()
-            .filter(|e| e.src / cfg.pages_per_host == e.dst / cfg.pages_per_host)
+            .filter(|e| {
+                u64::from(e.src) / cfg.pages_per_host == u64::from(e.dst) / cfg.pages_per_host
+            })
             .count();
         let frac = intra as f64 / g.edges.len() as f64;
         assert!(frac > 0.6, "intra-host fraction {frac}");

@@ -58,9 +58,12 @@ impl ChunkIndex {
 
     /// Builds the index from the chunk's scatter keys (two passes: window,
     /// then occupancy). An empty iterator yields [`ChunkIndex::EMPTY`].
-    pub fn from_keys<I: Iterator<Item = u64> + Clone>(keys: I) -> Self {
+    /// Keys are any unsigned id (4-byte vertex ids widen to the index's
+    /// `u64` key space).
+    pub fn from_keys<K: Into<u64>, I: Iterator<Item = K> + Clone>(keys: I) -> Self {
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for k in keys.clone() {
+            let k = k.into();
             lo = lo.min(k);
             hi = hi.max(k);
         }
@@ -70,7 +73,7 @@ impl ChunkIndex {
         let mut ix = Self { lo, hi, strides: 0 };
         let w = ix.stride_width();
         for k in keys {
-            ix.strides |= 1u64 << ((k - lo) / w);
+            ix.strides |= 1u64 << ((k.into() - lo) / w);
         }
         ix
     }
@@ -148,13 +151,20 @@ impl BlockIndex {
     /// # Panics
     ///
     /// Panics if `block_records == 0`; debug-panics on unsorted keys.
-    pub fn from_sorted_keys<I: Iterator<Item = u64>>(keys: I, block_records: u32) -> Option<Self> {
+    pub fn from_sorted_keys<K: Into<u64>, I: Iterator<Item = K>>(
+        keys: I,
+        block_records: u32,
+    ) -> Option<Self> {
         assert!(block_records > 0, "blocks must hold records");
         let mut windows = Vec::new();
         let mut fill = 0u32;
         let mut last = 0u64;
         for k in keys {
-            debug_assert!(windows.is_empty() && fill == 0 || k >= last, "keys must be sorted");
+            let k = k.into();
+            debug_assert!(
+                windows.is_empty() && fill == 0 || k >= last,
+                "keys must be sorted"
+            );
             last = k;
             if fill == 0 {
                 windows.push((k, k));
@@ -1023,7 +1033,7 @@ mod tests {
         for k in (0..1000u64).step_by(100) {
             assert!(ix.strides & (1 << ((k - ix.lo) / w)) != 0);
         }
-        assert_eq!(ChunkIndex::from_keys(std::iter::empty()), ChunkIndex::EMPTY);
+        assert_eq!(ChunkIndex::from_keys(std::iter::empty::<u64>()), ChunkIndex::EMPTY);
         assert_eq!(ChunkIndex::EMPTY.width(), None);
     }
 
@@ -1101,7 +1111,7 @@ mod tests {
         assert_eq!(bix.record_range(3, 10), (9, 10));
         // Single-block and empty inputs carry no refinement.
         assert!(BlockIndex::from_sorted_keys([1u64, 2].into_iter(), 3).is_none());
-        assert!(BlockIndex::from_sorted_keys(std::iter::empty(), 3).is_none());
+        assert!(BlockIndex::from_sorted_keys(std::iter::empty::<u64>(), 3).is_none());
     }
 
     #[test]

@@ -67,11 +67,11 @@ impl GasProgram for KHopMass {
 fn main() {
     // A 4-ary out-tree of depth 6: every vertex's k-hop mass is exact.
     let mut edges = Vec::new();
-    let n: u64 = (4u64.pow(7) - 1) / 3; // 5461 vertices
+    let n: VertexId = (4u32.pow(7) - 1) / 3; // 5461 vertices
     for v in 1..n {
         edges.push(Edge::new((v - 1) / 4, v));
     }
-    let graph = InputGraph::new(n, edges, false);
+    let graph = InputGraph::new(u64::from(n), edges, false);
     let program = KHopMass { k: 3 };
 
     // Reference run: the sequential executor from chaos-gas.

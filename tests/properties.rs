@@ -18,8 +18,8 @@ proptest! {
         let mut covered = 0u64;
         for i in 0..p {
             let r = spec.range(i);
-            prop_assert_eq!(r.start, covered.min(n));
-            covered = r.end;
+            prop_assert_eq!(u64::from(r.start), covered.min(n));
+            covered = u64::from(r.end);
             for v in r.clone() {
                 prop_assert_eq!(spec.partition_of(v), i);
             }
@@ -45,7 +45,7 @@ proptest! {
 
     #[test]
     fn edge_binning_loses_nothing(
-        edges in proptest::collection::vec((0u64..500, 0u64..500), 0..2000),
+        edges in proptest::collection::vec((0u32..500, 0u32..500), 0..2000),
         p in 1usize..16,
     ) {
         let edges: Vec<Edge> = edges.into_iter().map(|(s, d)| Edge::new(s, d)).collect();
@@ -67,7 +67,7 @@ proptest! {
     }
 
     #[test]
-    fn edge_record_roundtrips(src in any::<u64>(), dst in any::<u64>(), w in any::<f32>()) {
+    fn edge_record_roundtrips(src in any::<u32>(), dst in any::<u32>(), w in any::<f32>()) {
         prop_assume!(!w.is_nan());
         let e = Edge { src, dst, weight: w };
         let buf = encode_all(&[e]);
