@@ -103,14 +103,10 @@ impl<P: GasProgram> PartWork<P> {
 /// Routes kernel-emitted updates into the engine's pooled per-partition
 /// output buffers, recording which buffers filled during the chunk.
 ///
-/// The sink keeps no per-update counter (the caller reads the buffers'
-/// growth instead) and carries the partition shift in a field of its own,
-/// so the per-update path is a shift, a clamp and a push.
+/// The sink keeps no per-update counter: the caller reads the buffers'
+/// growth instead.
 struct PartitionSink<'a, U> {
     spec: &'a PartitionSpec,
-    /// `log2(spec.stride)` when the stride is a power of two (the common
-    /// case); `None` routes through [`PartitionSpec::partition_of`].
-    shift: Option<u32>,
     bufs: &'a mut [Vec<Update<U>>],
     /// Target records per update chunk; a buffer crossing this is flushed
     /// after the kernel returns.
@@ -122,10 +118,7 @@ struct PartitionSink<'a, U> {
 impl<U> UpdateSink<U> for PartitionSink<'_, U> {
     #[inline]
     fn push(&mut self, dst: VertexId, payload: U) {
-        let tp = match self.shift {
-            Some(s) => ((dst >> s) as usize).min(self.bufs.len() - 1),
-            None => self.spec.partition_of(dst),
-        };
+        let tp = self.spec.partition_of(dst);
         let b = &mut self.bufs[tp];
         b.push(Update { dst, payload });
         if b.len() == self.cap {
@@ -1258,10 +1251,8 @@ impl<P: GasProgram> ComputeEngine<P> {
         // crossing its flush threshold) this path performs no allocation.
         let buffered = |bufs: &[Vec<Update<P::Update>>]| bufs.iter().map(Vec::len).sum::<usize>();
         let before = buffered(&self.out_bufs);
-        let stride = self.params.spec.stride;
         let mut sink = PartitionSink {
             spec: &self.params.spec,
-            shift: stride.is_power_of_two().then(|| stride.trailing_zeros()),
             bufs: &mut self.out_bufs,
             cap: self.params.updates_per_chunk,
             full: &mut self.flush_scratch,

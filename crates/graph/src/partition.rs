@@ -19,6 +19,9 @@ pub struct PartitionSpec {
     pub num_partitions: usize,
     /// Vertices per partition (last partition may be short).
     pub stride: u64,
+    /// `log2(stride)` when the stride is a power of two, so
+    /// [`PartitionSpec::partition_of`] can shift instead of divide.
+    shift: Option<u32>,
 }
 
 impl PartitionSpec {
@@ -35,6 +38,7 @@ impl PartitionSpec {
             num_vertices,
             num_partitions,
             stride,
+            shift: stride.is_power_of_two().then(|| stride.trailing_zeros()),
         }
     }
 
@@ -69,17 +73,16 @@ impl PartitionSpec {
     ///
     /// This sits on the engine's per-update scatter path (one call per
     /// emitted update), so the common power-of-two stride (2^k vertices
-    /// over a partition count dividing evenly) takes a shift instead of a
-    /// 64-bit division; `is_power_of_two` is a single-cycle test that
-    /// predicts perfectly.
+    /// over a partition count dividing evenly) takes the shift computed at
+    /// construction instead of a 64-bit division; the branch predicts
+    /// perfectly.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> usize {
         let v = u64::from(v);
         debug_assert!(v < self.num_vertices);
-        let q = if self.stride.is_power_of_two() {
-            v >> self.stride.trailing_zeros()
-        } else {
-            v / self.stride
+        let q = match self.shift {
+            Some(s) => v >> s,
+            None => v / self.stride,
         };
         (q as usize).min(self.num_partitions - 1)
     }

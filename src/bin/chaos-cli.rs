@@ -242,27 +242,19 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
     let args = &Args::parse(argv, &[GRAPH_VALUES, RUN_VALUES], RUN_SWITCHES)?;
     let algo = args.value("--algo").ok_or("run needs --algo <NAME>")?;
     if !ALGO_NAMES.contains(&algo) {
-        return Err(format!(
-            "unknown algorithm {algo:?}; one of {}",
-            ALGO_NAMES.join(", ")
-        )
-        .into());
+        return Err(format!("unknown algorithm {algo:?}; one of {}", ALGO_NAMES.join(", ")).into());
     }
     let machines: usize = args.parsed("--machines", 4)?;
     let mut cfg = ChaosConfig::new(machines);
     cfg.chunk_bytes = args.parsed("--chunk-kb", 64u64)?.saturating_mul(1024);
-    cfg.mem_budget = args
-        .checked("--mem-kb", 1024u64, "positive", |&k| k > 0)?
-        .saturating_mul(1024);
+    cfg.mem_budget = args.parsed("--mem-kb", 1024u64)?.saturating_mul(1024);
     cfg.steal_alpha = args.parsed("--alpha", 1.0f64)?;
     cfg.checkpoint = args.flag("--checkpoint");
     cfg.streaming = args.parsed("--streaming", Streaming::Selective)?;
     cfg.cluster_bins = args.parsed("--cluster-bins", cfg.cluster_bins)?;
     cfg.seed = args.parsed("--seed", cfg.seed)?;
     if let Some(seed) = args.value("--fault-seed") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| format!("bad value for --fault-seed: {seed:?}"))?;
+        let seed: u64 = seed.parse().map_err(|_| format!("bad value for --fault-seed: {seed:?}"))?;
         cfg.checkpoint = true;
         cfg.faults = FaultPlan::generate(seed, &FaultPlanConfig::soak(machines));
     }
@@ -284,37 +276,18 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
         g.num_vertices,
         g.num_edges(),
         cfg.device.name,
-        if args.flag("--one-gige") {
-            "1GigE"
-        } else {
-            "40GigE"
-        },
+        if args.flag("--one-gige") { "1GigE" } else { "40GigE" },
     );
     let report = with_algo!(algo, &params, |p| run_chaos(cfg, p, &g).0);
-    println!(
-        "simulated runtime   {:>10.3} s (preprocess {:.3} s)",
-        report.seconds(),
-        report.preprocess_time as f64 / 1e9
-    );
+    println!("simulated runtime   {:>10.3} s (preprocess {:.3} s)",
+        report.seconds(), report.preprocess_time as f64 / 1e9);
     println!("iterations          {:>10}", report.iterations);
     println!("partitions          {:>10}", report.partitions);
     println!("steals              {:>10}", report.steals);
-    println!(
-        "device I/O          {:>10.1} MB",
-        report.total_device_bytes() as f64 / 1e6
-    );
-    println!(
-        "aggregate bandwidth {:>10.1} MB/s",
-        report.aggregate_bandwidth() / 1e6
-    );
-    println!(
-        "network traffic     {:>10.1} MB",
-        report.fabric.remote_bytes as f64 / 1e6
-    );
-    println!(
-        "device utilization  {:>10.1} %",
-        100.0 * report.mean_device_utilization()
-    );
+    println!("device I/O          {:>10.1} MB", report.total_device_bytes() as f64 / 1e6);
+    println!("aggregate bandwidth {:>10.1} MB/s", report.aggregate_bandwidth() / 1e6);
+    println!("network traffic     {:>10.1} MB", report.fabric.remote_bytes as f64 / 1e6);
+    println!("device utilization  {:>10.1} %", 100.0 * report.mean_device_utilization());
     if report.chunks_skipped() > 0 || report.compactions() > 0 {
         println!(
             "selective streaming {:>10} chunks skipped ({} records; {} mid-wavefront); \
@@ -348,7 +321,9 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
         println!(
             "data integrity      {:>10} corruptions detected ({} repaired), \
              {} frames scrubbed",
-            fa.corruption_detected, fa.corruption_repaired, fa.frames_scrubbed,
+            fa.corruption_detected,
+            fa.corruption_repaired,
+            fa.frames_scrubbed,
         );
     }
     if fa.checksum_bytes > 0 {
@@ -358,10 +333,7 @@ fn cmd_run(argv: &[String]) -> Result<(), CliError> {
         );
     }
     if let Some(agg) = report.iteration_aggs.last() {
-        println!(
-            "final aggregates    updates={} changed={}",
-            agg.updates_produced, agg.vertices_changed
-        );
+        println!("final aggregates    updates={} changed={}", agg.updates_produced, agg.vertices_changed);
     }
     if let Some(path) = args.value("--metrics-json") {
         let label = format!("{algo}/m{machines}");
@@ -381,11 +353,7 @@ fn main() -> ExitCode {
             for a in ALGO_NAMES {
                 println!(
                     "{a:<6} {}{}",
-                    if needs_undirected(a) {
-                        "undirected "
-                    } else {
-                        "directed "
-                    },
+                    if needs_undirected(a) { "undirected " } else { "directed " },
                     if needs_weights(a) { "weighted" } else { "" }
                 );
             }

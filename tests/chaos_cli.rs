@@ -85,7 +85,7 @@ fn bad_values_are_usage_errors() {
     );
     assert_usage_error(
         &["run", "--algo", "PR", "--mem-kb", "0"],
-        "--mem-kb must be positive",
+        "vertex memory budget must be positive",
     );
     assert_usage_error(
         &["run", "--algo", "PR", "--hdd", "--hdd"],
